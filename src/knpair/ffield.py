@@ -197,6 +197,7 @@ class FieldCtx:
         self._fact: IntFactorization | None = None
         self._fact_lock = threading.Lock()
         self._frob_images: list[list[list[int]]] = []  # per power i: basis images
+        self._frob_lock = threading.Lock()
         self._trace_basis: list[int] | None = None
 
     # -- context identity ---------------------------------------------------
@@ -256,8 +257,7 @@ class FieldCtx:
 
     # -- raw coefficient arithmetic (tuples), used by the hot paths ----------
     def _add(self, a: tuple, b: tuple) -> tuple:
-        add = self.fq.add
-        return tuple(add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.fq.add, a, b))
 
     def _sub(self, a: tuple, b: tuple) -> tuple:
         sub = self.fq.sub
@@ -301,19 +301,25 @@ class FieldCtx:
     # -- Frobenius x -> x^q as an F_q-linear map ------------------------------
     def _frob_basis(self, i: int) -> list[list[int]]:
         """Images of the power basis under x -> x^(q^i), as coefficient lists."""
-        while len(self._frob_images) <= i:
-            if not self._frob_images:
-                images = []
-                for j in range(self.n):
-                    xj = [0] * j + [self.fq.one]
-                    img = _polyops.pow_mod(self.fq, xj, self.q, list(self.ext_modulus))
-                    images.append(img + [0] * (self.n - len(img)))
-                self._frob_images.append(images)  # power 1
-            else:
-                prev = self._frob_images[-1]
-                one_step = self._frob_images[0]
-                images = [self._apply_linear(one_step, tuple(v)) for v in prev]
-                self._frob_images.append([list(v) for v in images])
+        if i < len(self._frob_images):
+            return self._frob_images[i]
+        # entries are only appended, each one complete, so the check above
+        # needs no lock; building takes it, or concurrent first calls would
+        # append the same power twice and shift every later one
+        with self._frob_lock:
+            while len(self._frob_images) <= i:
+                if not self._frob_images:
+                    images = []
+                    for j in range(self.n):
+                        xj = [0] * j + [self.fq.one]
+                        img = _polyops.pow_mod(self.fq, xj, self.q, list(self.ext_modulus))
+                        images.append(img + [0] * (self.n - len(img)))
+                    self._frob_images.append(images)  # power 1
+                else:
+                    prev = self._frob_images[-1]
+                    one_step = self._frob_images[0]
+                    images = [self._apply_linear(one_step, tuple(v)) for v in prev]
+                    self._frob_images.append([list(v) for v in images])
         return self._frob_images[i]
 
     def _apply_linear(self, images: list[list[int]], v: tuple) -> tuple:

@@ -5,10 +5,14 @@ Two engines coexist.  The streaming engine walks elements in enumeration
 order computing per-element predicates directly (cheap k-normality first,
 inverse next, exact order last) and is what the searches use; it never
 builds field-sized tables, so found-cases exit early and not-found cases
-stay within memory.  The table engine builds, once per context, the full
-discrete-log walk and the F_q-order of every element (enumerated as f o gamma
-over a normal gamma, so each element's order divisor falls out of
-gcd(f, x^n - 1)); counting operations and censuses run off those tables.
+stay within memory.  The table engine builds, once per context, two tables
+from the linear structure of the field.  The discrete-log walk applies the
+F_q-linear map "multiply by a primitive element" q^n - 1 times.  The
+F_q-order table walks the divisors h of x^n - 1 by ascending degree and
+enumerates each kernel ker h(sigma), a q^(deg h)-element subspace spanned by
+the Frobenius images of ((x^n - 1)/h) o gamma for a normal gamma; the
+first kernel that reaches an element is the one of its order.  Counting
+operations and censuses run off those tables.
 Witnesses returned by any search are re-verified through the direct
 modstruct predicates before being reported.
 """
@@ -19,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd as int_gcd
+from operator import mul
 
 from .errors import FieldTooLarge, NotADivisor, RNotDivisor
 from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
@@ -72,13 +77,14 @@ class _Predicates:
             out.append(ctx._frob(out[-1]))
         return out
 
-    def _action_is_zero(self, poly: PolyQ, orbit: list[tuple]) -> bool:
+    def action(self, poly: PolyQ, orbit: list[tuple]) -> tuple:
+        """poly o b, given the Frobenius orbit of b."""
         ctx = self.ctx
         acc = self.zero
         for i, c in enumerate(poly.coeffs):
             if c:
                 acc = ctx._add(acc, ctx._scale(orbit[i % ctx.n], c))
-        return acc == self.zero
+        return acc
 
     def ord_divisor_index(self, coeffs: tuple) -> int:
         """Index of the F_q-order of the element with these coefficients."""
@@ -89,7 +95,7 @@ class _Predicates:
                 nxt = self.quot[cur].get(f)
                 if nxt is None:
                     break
-                if self._action_is_zero(self.divisors[nxt], orbit):
+                if self.action(self.divisors[nxt], orbit) == self.zero:
                     cur = nxt
                 else:
                     break
@@ -133,77 +139,92 @@ class _ScanTables:
         preds = _preds(ctx)
         self.divisors = preds.divisors
         self.div_index = preds.div_index
-        N = ctx.N
-        prim = find_primitive(ctx)
+        n, N = ctx.n, ctx.N
+        # multiplication by the primitive element is F_q-linear: its value on
+        # a = lo + x^m hi is the sum of the images of lo and of x^m hi, each
+        # looked up in a table of q^(n/2) entries
+        pc = find_primitive(ctx).coeffs
+        images = [ctx._mul(tuple(1 if i == j else 0 for i in range(n)), pc) for j in range(n)]
+        m = n // 2
+        low, high = list(_span(ctx, images[:m])), list(_span(ctx, images[m:]))
+        split = ctx.q**m
+        # an element's code is sum(map(mul, coeffs, weights))
+        self.weights = weights = [ctx.q**i for i in range(n)]
         pow_codes = [0] * N
         log_codes = [-1] * ctx.order
         cur = ctx.one().coeffs
-        pc = prim.coeffs
-        q = ctx.q
         for e in range(N):
-            code = 0
-            for dgt in reversed(cur):
-                code = code * q + dgt
+            code = sum(map(mul, cur, weights))
             pow_codes[e] = code
             log_codes[code] = e
-            cur = ctx._mul(cur, pc)
+            hi, lo = divmod(code, split)
+            cur = ctx._add(low[lo], high[hi])
         self.pow_codes = pow_codes
         self.log_codes = log_codes
         self.ord_idx = self._order_table(preds)
 
     def _order_table(self, preds: _Predicates) -> list[int]:
-        ctx = self.ctx
-        # locate a normal element, then enumerate every f o gamma
-        gamma = None
-        for code in range(1, ctx.order):
-            cand = ctx.from_code(code)
-            if preds.knorm(cand.coeffs) == 0:
-                gamma = cand
-                break
-        assert gamma is not None
-        orbit = preds.orbit(gamma.coeffs)
-        poly = xn1(ctx)
-        fq = ctx.fq
-        # co-order per polynomial f: (x^n - 1)/gcd(f, x^n - 1), tabulated by
-        # walking f through the odometer while maintaining alpha = f o gamma;
-        # the per-digit code steps are not +1 in F_q once t > 1, so the
-        # deltas between consecutive scalar multiples are precomputed
-        table = [0] * ctx.order
-        q, n, N = ctx.q, ctx.n, ctx.N
-        digits = [0] * n
-        alpha = (0,) * n
-        delta = [
-            [
-                ctx._sub(ctx._scale(orbit[j], (c + 1) % q), ctx._scale(orbit[j], c))
-                for c in range(q)
-            ]
-            for j in range(n)
-        ]
-        from . import _polyops
+        """F_q-order index of every code, from the kernels of h(sigma).
 
-        for step in range(ctx.order):
-            if step:
-                j = 0
-                while True:
-                    alpha = ctx._add(alpha, delta[j][digits[j]])
-                    digits[j] += 1
-                    if digits[j] < q:
-                        break
-                    digits[j] = 0
-                    j += 1
-            f = _polyops.trim(list(digits))
-            gcd_fx = _polyops.gcd(fq, f, list(poly.coeffs)) if f else list(poly.coeffs)
-            co = PolyQ(fq, gcd_fx)
-            order_poly = poly // co
-            code = 0
-            for dgt in reversed(alpha):
-                code = code * q + dgt
-            table[code] = self.div_index[order_poly]
+        With gamma normal, ker h(sigma) = {f o beta_h : deg f < deg h} for
+        beta_h = ((x^n - 1)/h) o gamma, a space of q^(deg h) elements.  An
+        element lies in ker h exactly when its order divides h, and the
+        divisors come in (degree, coeffs) order, so the first kernel that
+        reaches a code is the one of its order.
+        """
+        ctx = self.ctx
+        # low codes are sparse polynomials in x and rarely normal (the first
+        # normal code of F_13^4 is 2380); powers of a generator are not
+        for code in self.pow_codes:
+            gamma = ctx.from_code(code).coeffs
+            if preds.knorm(gamma) == 0:
+                break
+        orbit = preds.orbit(gamma)
+        poly = xn1(ctx)
+        weights = self.weights
+        table = [-1] * ctx.order
+        table[0] = 0  # divisors[0] = 1, the order of zero
+        for idx, h in enumerate(self.divisors[1:], 1):
+            basis = [preds.action(poly // h, orbit)]
+            for _ in range(h.degree - 1):
+                basis.append(ctx._frob(basis[-1]))
+            for alpha in _span(ctx, basis):
+                code = sum(map(mul, alpha, weights))
+                if table[code] < 0:
+                    table[code] = idx
         return table
 
     def inverse_code(self, code: int) -> int:
         e = self.log_codes[code]
         return self.pow_codes[(self.ctx.N - e) % self.ctx.N]
+
+
+def _span(ctx: FieldCtx, basis: list[tuple]):
+    """sum_j c_j * basis[j] for every coefficient vector c, in code order of c.
+
+    An odometer over c with one addition per carry; the per-digit code steps
+    are not +1 in F_q once t > 1, so the deltas between consecutive scalar
+    multiples are precomputed.
+    """
+    q = ctx.q
+    delta = [
+        [ctx._sub(ctx._scale(b, (c + 1) % q), ctx._scale(b, c)) for c in range(q)]
+        for b in basis
+    ]
+    digits = [0] * len(basis)
+    alpha = (0,) * ctx.n
+    yield alpha
+    add = ctx._add
+    for _ in range(q ** len(basis) - 1):
+        j = 0
+        while True:
+            alpha = add(alpha, delta[j][digits[j]])
+            digits[j] += 1
+            if digits[j] < q:
+                break
+            digits[j] = 0
+            j += 1
+        yield alpha
 
 
 _TABLE_CACHE: dict[FieldCtx, _ScanTables] = {}
@@ -388,64 +409,35 @@ def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
     if not H.divides(gd.G):
         raise NotADivisor("H does not divide G")
-    tables = scan_tables(ctx)
-    hfree, Hfree, in_img, lam_img = _divisor_predicates(ctx, tables, g, h, H)
-    images = _g_action_codes(ctx, g)
-    N = ctx.N
-    lambdas = rd.lambdas
-    ord_idx = tables.ord_idx
-    log_codes = tables.log_codes
-    pow_codes = tables.pow_codes
-    qq = ctx.q
-    count = 0
-    z_seen = 0
-    for code in range(ctx.order):
-        beta = ctx.from_code(code).coeffs
-        acf = ctx._apply_linear(images, beta)
-        alpha_code = 0
-        for dgt in reversed(acf):
-            alpha_code = alpha_code * qq + dgt
-        if alpha_code == 0:
-            z_seen += 1
-            continue
-        if not hfree[ord_idx[code]]:
-            continue
-        e = log_codes[alpha_code]
-        gam = int_gcd(e, N) if e else N
-        if int_gcd(d, gam) != 1 or gam % r:
-            continue
-        if any(gam % lam == 0 for lam in lambdas):
-            continue
-        inv_code = pow_codes[(N - e) % N]
-        oi = ord_idx[inv_code]
-        if Hfree[oi] and in_img[oi] and not lam_img[oi]:
-            count += 1
-    assert z_seen == q**k, "zero set of (g o .) has unexpected size"
-    return count
+    return count_from_profile(ctx, g, pair_profile(ctx, g), r, h, d, H)
 
 
 def pair_profile(ctx: FieldCtx, g: PolyQ):
     """Histogram over beta outside Z of (ord-idx of beta, gcd(dlog(g o beta), N),
-    ord-idx of (g o beta)^-1); one pass serves every (r, h, d, H) combination."""
+    ord-idx of (g o beta)^-1); one pass serves every (r, h, d, H) combination.
+
+    Z has q^deg g elements exactly when g divides x^n - 1; otherwise this
+    raises NotADivisor."""
     tables = scan_tables(ctx)
     images = _g_action_codes(ctx, g)
     N = ctx.N
-    qq = ctx.q
     ord_idx, log_codes, pow_codes = tables.ord_idx, tables.log_codes, tables.pow_codes
+    weights = tables.weights
     hist: dict[tuple[int, int, int], int] = {}
-    for code in range(ctx.order):
-        beta = ctx.from_code(code).coeffs
-        acf = ctx._apply_linear(images, beta)
-        alpha_code = 0
-        for dgt in reversed(acf):
-            alpha_code = alpha_code * qq + dgt
+    z_seen = 0
+    for code, acf in enumerate(_span(ctx, images)):
+        alpha_code = sum(map(mul, acf, weights))
         if alpha_code == 0:
+            z_seen += 1
             continue
         e = log_codes[alpha_code]
         gam = int_gcd(e, N) if e else N
         inv_code = pow_codes[(N - e) % N]
         key = (ord_idx[code], gam, ord_idx[inv_code])
         hist[key] = hist.get(key, 0) + 1
+    if z_seen != ctx.q**g.degree:
+        raise NotADivisor(f"zero set of (g o .) has {z_seen} elements, not q^deg g; "
+                          "g does not divide x^n - 1")
     return hist
 
 

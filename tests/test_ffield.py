@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from knpair.errors import (
@@ -9,6 +12,7 @@ from knpair.errors import (
     ZeroElement,
 )
 from knpair.ffield import (
+    FieldCtx,
     dlog,
     elem_arith,
     field_for,
@@ -103,6 +107,36 @@ def test_frobenius_is_automorphism():
         for b in els[::7]:
             assert frobenius(a + b) == frobenius(a) + frobenius(b)
             assert frobenius(a * b) == frobenius(a) * frobenius(b)
+
+
+def test_frob_basis_concurrent_first_calls():
+    # racing first calls on a fresh context must build each power once
+    base = make_field(3, 1, 7)
+    a = base.from_code(1234).coeffs
+    want3, want4 = base._pow(a, 3**3), base._pow(a, 3**4)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            ctx = FieldCtx(base.p, base.t, base.n, base.base_modulus, base.ext_modulus)
+            start = threading.Barrier(8)
+            got = []
+
+            def work():
+                start.wait(timeout=10)
+                got.append(ctx._frob(a, 3))
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            assert got == [want3] * 8
+            assert len(ctx._frob_images) == 3
+            assert ctx._frob(a, 4) == want4
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_trace_abs_f8(f8):

@@ -1,6 +1,6 @@
 import pytest
 
-from knpair.errors import FieldTooLarge, RNotDivisor
+from knpair.errors import FieldTooLarge, NotADivisor, RNotDivisor
 from knpair.ffield import field_for, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
@@ -8,6 +8,7 @@ from knpair.intarith import euler_phi
 from knpair.modstruct import (
     decompose_g,
     decompose_r,
+    fq_order,
     in_Qrd,
     in_TgkH,
     is_h_free,
@@ -21,6 +22,7 @@ from knpair.search import (
     count_from_profile,
     direct_search,
     pair_profile,
+    scan_tables,
     search_pair,
 )
 
@@ -149,6 +151,31 @@ def test_count_N_full_seed_positivity_equivalence():
             gd = decompose_g(g, ctx)
             total += count_N(q, n, r, k, g, poly, rd.R, gd.G)
         assert (total > 0) == search_pair(q, n, r, k).found
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 4), (5, 5), (9, 3), (16, 3)])
+def test_scan_tables_against_direct_predicates(q, n):
+    # fq_order (orbit descent) and _mul (polynomial reduction) share no code
+    # with the kernel walk and the linear dlog walk that build the tables
+    ctx = field_for(q, n)
+    tables = scan_tables(ctx)
+    one = ctx.one()
+    assert tables.divisors[tables.ord_idx[0]] == fq_order(ctx.zero())
+    gen = ctx.from_code(tables.pow_codes[1])
+    assert mult_order(gen) == ctx.N
+    for c in range(1, ctx.order):
+        a = ctx.from_code(c)
+        assert tables.divisors[tables.ord_idx[c]] == fq_order(a)
+        e = tables.log_codes[c]
+        assert tables.pow_codes[e] == c
+        assert (a * gen).code() == tables.pow_codes[(e + 1) % ctx.N]
+        assert a * ctx.from_code(tables.inverse_code(c)) == one
+
+
+def test_pair_profile_rejects_non_divisor():
+    ctx = field_for(2, 3)
+    with pytest.raises(NotADivisor):
+        pair_profile(ctx, PolyQ(ctx.fq, (1, 0, 1, 1)))  # x^3 + x^2 + 1 is coprime to x^3 - 1
 
 
 def test_census_knormal(f8):
