@@ -1,10 +1,10 @@
 """Multiplicative and additive characters of F_{q^n} at desk scale.
 
-Multiplicative characters are realized through the discrete log against a
-cached primitive element: the base character of order d sends g^e to
-exp(2*pi*i*e/d), and the characters of exact order d are its j-th powers
-for gcd(j, d) = 1.  Additive characters are shifts of the canonical one:
-psi_y(a) = exp(2*pi*i*Tr(y*a)/p).
+Multiplicative characters are realized through the discrete log against
+the primitive element of the table engine (search.scan_tables): the base
+character of order d sends g^e to exp(2*pi*i*e/d), and the characters of
+exact order d are its j-th powers for gcd(j, d) = 1.  Additive characters
+are shifts of the canonical one: psi_y(a) = exp(2*pi*i*Tr(y*a)/p).
 
 On top of the raw characters sit the character-sum characteristic
 functions for e-free / h-free elements, images of the module action, and
@@ -12,21 +12,27 @@ the Q_r^d and T_{g,k}^H classes.  These are evaluated as literal weighted
 character sums (the inner sums over independent character slots are
 grouped into per-slot factors, which leaves the value unchanged), and the
 test suite checks them against the direct indicators from modstruct.
+Everything those sums need of a polynomial argument -- whether it divides
+x^n - 1, its Phi_q and mu', and the list of its own divisors -- is looked
+up by its index in the per-field divisor lattice of x^n - 1, which the
+tables build once; no polynomial is factored per element.
 """
 
 from __future__ import annotations
 
 import cmath
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import FieldTooLarge, NotADivisor, ZeroElement
-from .ffield import FieldCtx, FieldElement, find_primitive
+from .errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
+from .ffield import FieldCtx, FieldElement
 from .fqpoly import PolyQ, divisors_of, factor_poly
 from .intarith import divisors as int_divisors
 from .intarith import euler_phi, moebius
-from .modstruct import GDecomposition, RDecomposition, mod_action, xn1
+from .modstruct import GDecomposition, RDecomposition, mod_action
+from .search import scan_tables
 
 CHARFUN_CEILING = 1 << 9
 ADD_ORDER_CEILING = 1 << 12
@@ -39,33 +45,27 @@ class _CharTables:
         if ctx.order > ADD_ORDER_CEILING:
             raise FieldTooLarge(f"|F| = {ctx.order} exceeds the character ceiling {ADD_ORDER_CEILING}")
         self.ctx = ctx
-        N = ctx.N
-        self.prim = find_primitive(ctx)
-        pow_codes = [0] * N
-        log_codes: list[int | None] = [None] * ctx.order
-        cur = ctx.one().coeffs
-        prim = self.prim.coeffs
-        for e in range(N):
-            code = 0
-            for d in reversed(cur):
-                code = code * ctx.q + d
-            pow_codes[e] = code
-            log_codes[code] = e
-            cur = ctx._mul(cur, prim)
-        self.pow_codes = pow_codes
-        self.log_codes = log_codes
+        # the dlog walk and the monic divisors of x^n - 1 in (degree, coeffs)
+        # order come from the table engine; log_codes[0] is -1, and mulc and
+        # char_eval reject zero before they look it up
+        scan = scan_tables(ctx)
+        self.pow_codes = scan.pow_codes
+        self.log_codes = scan.log_codes
+        self.divisors = divs = scan.divisors
+        self.div_index = index = scan.div_index
         self.trace = [ctx._trace_abs(ctx.from_code(c).coeffs) for c in range(ctx.order)]
         tau = 2j * cmath.pi
         self.psi0 = [cmath.exp(tau * t / ctx.p) for t in self.trace]
-        self.roots = [cmath.exp(tau * m / N) for m in range(N)]
-        # monic divisors of x^n - 1, indexed in (degree, coeffs) order
-        divs = sorted(divisors_of(xn1(ctx)), key=lambda h: h.sort_key())
-        self.divisors = divs
-        self.div_index = {h: i for i, h in enumerate(divs)}
-        self.phi_q = [factor_poly(h).phi_q() if h.degree > 0 else 1 for h in divs]
-        self.mu_prime = [factor_poly(h).moebius_prime() if h.degree > 0 else 1 for h in divs]
+        self.roots = [cmath.exp(tau * m / ctx.N) for m in range(ctx.N)]
+        facts = [factor_poly(h) for h in divs[1:]]
+        self.phi_q = [1] + [f.phi_q() for f in facts]
+        self.mu_prime = [1] + [f.moebius_prime() for f in facts]
+        # indices of the divisors of each divisor, in divisors_of order, so
+        # the character sums add up in the same order as over divisors_of(h)
+        self.sub_divisors = [[index[d] for d in divisors_of(h)] for h in divs]
         self._order_table: list[int] | None = None
         self._ys_by_order: dict[int, list[int]] = {}
+        self._order_lock = threading.Lock()
 
     def mulc(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -80,27 +80,44 @@ class _CharTables:
 
     def add_order_table(self) -> list[int]:
         """For each shift code y, the index of the F_q-order of psi_y."""
+        # _order_table is published last, so a thread that sees it also sees
+        # _ys_by_order; the lock keeps racing first calls from building twice
         if self._order_table is None:
-            ctx = self.ctx
-            basis = self._basis_codes()
-            images = []  # per divisor: action images of the F_p-basis
-            for h in self.divisors:
-                images.append([mod_action(h, ctx.from_code(b)).code() for b in basis])
-            table = [0] * ctx.order
-            by_order: dict[int, list[int]] = {}
-            for y in range(ctx.order):
-                for idx, h in enumerate(self.divisors):
-                    if all(self.trace[self.mulc(y, img)] == 0 for img in images[idx]):
-                        table[y] = idx
-                        by_order.setdefault(idx, []).append(y)
-                        break
-            self._order_table = table
-            self._ys_by_order = by_order
+            with self._order_lock:
+                if self._order_table is None:
+                    self._build_order_table()
         return self._order_table
 
+    def _build_order_table(self) -> None:
+        ctx = self.ctx
+        basis = self._basis_codes()
+        images = []  # per divisor: action images of the F_p-basis
+        for h in self.divisors:
+            images.append([mod_action(h, ctx.from_code(b)).code() for b in basis])
+        table = [0] * ctx.order
+        by_order: dict[int, list[int]] = {}
+        for y in range(ctx.order):
+            for idx, h in enumerate(self.divisors):
+                if all(self.trace[self.mulc(y, img)] == 0 for img in images[idx]):
+                    table[y] = idx
+                    by_order.setdefault(idx, []).append(y)
+                    break
+        self._ys_by_order = by_order
+        self._order_table = table
+
     def ys_of_order(self, idx: int) -> list[int]:
-        self.add_order_table()
+        if self._order_table is None:
+            self.add_order_table()
         return self._ys_by_order.get(idx, [])
+
+    def divisor_index(self, g: PolyQ) -> int:
+        """Index of the monic form of g among the divisors of x^n - 1."""
+        if not isinstance(g, PolyQ) or g.fq != self.ctx.fq:
+            raise CtxMismatch("polynomials live over different subfields")
+        idx = self.div_index.get(g.monic())
+        if idx is None:
+            raise NotADivisor(f"{g!r} does not divide x^n - 1")
+        return idx
 
     # -- slot sums -------------------------------------------------------------
     def mult_char_sum(self, m: int, e_log: int) -> complex:
@@ -202,46 +219,31 @@ def rho_e(a: FieldElement, e: int) -> complex:
     return Fraction(euler_phi(e), e) * total
 
 
-def _divisor_indices(tab: _CharTables, g: PolyQ) -> list[int]:
-    out = []
-    for h in divisors_of(g):
-        idx = tab.div_index.get(h.monic())
-        if idx is None:
-            raise NotADivisor("polynomial does not divide x^n - 1")
-        out.append(idx)
-    return out
-
-
 def upsilon_g(a: FieldElement, g: PolyQ) -> complex:
     """Character-sum indicator of g-freeness."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
-    if g.is_zero() or not g.divides(xn1(ctx)):
-        raise NotADivisor("g does not divide x^n - 1")
-    g = g.monic()
+    g_idx = tab.divisor_index(g)
     code = a.code()
     total = 0j
-    for idx in _divisor_indices(tab, g):
+    for idx in tab.sub_divisors[g_idx]:
         mu = tab.mu_prime[idx]
         if mu == 0:
             continue
         total += Fraction(mu, tab.phi_q[idx]) * tab.add_char_sum(idx, code)
-    phi_g = factor_poly(g).phi_q() if g.degree > 0 else 1
-    return Fraction(phi_g, ctx.q**g.degree) * total
+    return Fraction(tab.phi_q[g_idx], ctx.q ** tab.divisors[g_idx].degree) * total
 
 
 def psi_set(a: FieldElement, g: PolyQ) -> complex:
     """Character-sum indicator of membership in the image of (g o .)."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
-    if g.is_zero() or not g.divides(xn1(ctx)):
-        raise NotADivisor("g does not divide x^n - 1")
-    g = g.monic()
+    g_idx = tab.divisor_index(g)
     code = a.code()
     total = 0j
-    for idx in _divisor_indices(tab, g):
+    for idx in tab.sub_divisors[g_idx]:
         total += tab.add_char_sum(idx, code)
-    return total / ctx.q**g.degree
+    return total / ctx.q ** tab.divisors[g_idx].degree
 
 
 def gamma_rd(a: FieldElement, rd: RDecomposition, d: int) -> complex:
@@ -276,30 +278,29 @@ def q_gH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> complex:
     """Character-sum indicator of membership in T_{g,k}^H."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
-    if H.is_zero() or not H.divides(gd.G):
+    H_idx = tab.divisor_index(H)
+    if H_idx not in tab.sub_divisors[tab.divisor_index(gd.G)]:
         raise NotADivisor("H does not divide G")
-    H = H.monic()
     code = a.code()
     t_free = 0j
-    for idx in _divisor_indices(tab, H):
+    for idx in tab.sub_divisors[H_idx]:
         mu = tab.mu_prime[idx]
         if mu == 0:
             continue
         t_free += Fraction(mu, tab.phi_q[idx]) * tab.add_char_sum(idx, code)
     t_pi = 0j
-    for idx in _divisor_indices(tab, gd.pi):
+    for idx in tab.sub_divisors[tab.divisor_index(gd.pi)]:
         t_pi += tab.add_char_sum(idx, code)
     t_parts = complex(1)
     for f_i, _, _, lam in gd.parts:
         qdeg = ctx.q**f_i.degree
+        lam_idx = tab.divisor_index(lam)
         slot = 0j
-        for idx in _divisor_indices(tab, lam):
-            h = tab.divisors[idx]
-            ell = Fraction(-1, qdeg) if h == lam else Fraction(qdeg - 1, qdeg)
+        for idx in tab.sub_divisors[lam_idx]:
+            ell = Fraction(-1, qdeg) if idx == lam_idx else Fraction(qdeg - 1, qdeg)
             slot += ell * tab.add_char_sum(idx, code)
         t_parts *= slot
-    phi_H = factor_poly(H).phi_q() if H.degree > 0 else 1
-    scale = Fraction(phi_H, ctx.q ** (H.degree + gd.g.degree))
+    scale = Fraction(tab.phi_q[H_idx], ctx.q ** (tab.divisors[H_idx].degree + gd.g.degree))
     return scale * t_free * t_pi * t_parts
 
 

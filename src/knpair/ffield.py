@@ -199,6 +199,7 @@ class FieldCtx:
         self._frob_images: list[list[list[int]]] = []  # per power i: basis images
         self._frob_lock = threading.Lock()
         self._trace_basis: list[int] | None = None
+        self._trace_lock = threading.Lock()
 
     # -- context identity ---------------------------------------------------
     def _key(self):
@@ -349,22 +350,27 @@ class FieldCtx:
     def _trace_table(self) -> list[int]:
         """Trace of each F_p-coordinate basis element y^j x^i."""
         if self._trace_basis is None:
-            p, t, n = self.p, self.t, self.n
-            basis_traces = []
-            for i in range(n):
-                for j in range(t):
-                    coeffs = [0] * n
-                    coeffs[i] = p**j  # code of y^j in F_q
-                    total = (0,) * n
-                    cur = tuple(coeffs)
-                    for _ in range(t * n):
-                        total = self._add(total, cur)
-                        cur = self._pow(cur, p)
-                    if any(total[i2] for i2 in range(1, n)) or total[0] >= p:
-                        raise AssertionError("trace did not land in F_p")
-                    basis_traces.append(total[0])
-            self._trace_basis = basis_traces
+            with self._trace_lock:
+                if self._trace_basis is None:
+                    self._trace_basis = self._build_trace_basis()
         return self._trace_basis
+
+    def _build_trace_basis(self) -> list[int]:
+        p, t, n = self.p, self.t, self.n
+        basis_traces = []
+        for i in range(n):
+            for j in range(t):
+                coeffs = [0] * n
+                coeffs[i] = p**j  # code of y^j in F_q
+                total = (0,) * n
+                cur = tuple(coeffs)
+                for _ in range(t * n):
+                    total = self._add(total, cur)
+                    cur = self._pow(cur, p)
+                if any(total[i2] for i2 in range(1, n)) or total[0] >= p:
+                    raise AssertionError("trace did not land in F_p")
+                basis_traces.append(total[0])
+        return basis_traces
 
     def _trace_abs(self, a: tuple) -> int:
         tb = self._trace_table()

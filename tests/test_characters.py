@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from knpair.characters import (
@@ -14,7 +17,7 @@ from knpair.characters import (
     rho_e,
     upsilon_g,
 )
-from knpair.errors import FieldTooLarge, ZeroElement
+from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
 from knpair.ffield import field_for, make_field
 from knpair.fqpoly import PolyQ, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
@@ -165,3 +168,101 @@ def test_charfun_equivalence_small(q, n):
                 v = q_gH(a, gd, H)
                 ind = 1 if in_TgkH(a, gd, H) else 0
                 assert abs(v - ind) < 1e-6 and round(v.real) == ind
+
+
+def test_charfun_divisor_errors_and_monic_form():
+    ctx = field_for(3, 2)  # x^2 - 1 = (x + 1)(x + 2) over F_3
+    fq = ctx.fq
+    els = [ctx.from_code(c) for c in range(ctx.order)]
+    a = els[5]
+    x_plus_1, x_plus_2 = PolyQ(fq, (1, 1)), PolyQ(fq, (2, 1))
+    gd = decompose_g(x_plus_1, ctx)
+    assert gd.G == x_plus_2
+    for bad in (PolyQ.zero(fq), PolyQ(fq, (1, 0, 1))):  # zero and x^2 + 1
+        with pytest.raises(NotADivisor):
+            upsilon_g(a, bad)
+        with pytest.raises(NotADivisor):
+            psi_set(a, bad)
+        with pytest.raises(NotADivisor):
+            q_gH(a, gd, bad)
+    with pytest.raises(NotADivisor):
+        q_gH(a, gd, x_plus_1)  # divides x^n - 1 but not G
+    other = PolyQ(make_field(2, 1, 3).fq, (1, 1))  # x + 1 over F_2
+    with pytest.raises(CtxMismatch):
+        upsilon_g(a, other)
+    with pytest.raises(CtxMismatch):
+        psi_set(a, other)
+    with pytest.raises(CtxMismatch):
+        q_gH(a, gd, other)
+    # 2x + 2 and 2x + 1 are 2 (x + 1) and 2 (x + 2)
+    for el in els:
+        assert upsilon_g(el, PolyQ(fq, (2, 2))) == upsilon_g(el, x_plus_1)
+        assert psi_set(el, PolyQ(fq, (2, 2))) == psi_set(el, x_plus_1)
+        if not el.is_zero():
+            assert q_gH(el, gd, PolyQ(fq, (1, 2))) == q_gH(el, gd, x_plus_2)
+
+
+def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
+    import knpair.characters as characters
+
+    ctx = make_field(2, 1, 6)  # x^6 - 1 = (x + 1)^2 (x^2 + x + 1)^2, 9 divisors
+    divs = divisors_of(xn1(ctx))
+    decomps = [(g, decompose_g(g, ctx)) for g in divs]
+    calls = {"factor_poly": 0, "divisors_of": 0}
+
+    def counted(name):
+        real = getattr(characters, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(characters, name, counted(name))
+    monkeypatch.setattr(characters, "_TABLES", {})  # the tables are built inside the count
+    els = [ctx.from_code(c) for c in range(ctx.order)]
+    for g, gd in decomps:
+        for a in els:
+            upsilon_g(a, g)
+            psi_set(a, g)
+        for H in divisors_of(gd.G):
+            for a in els[1:]:
+                q_gH(a, gd, H)
+    assert len(divs) == 9 and ctx.order == 64
+    assert calls["factor_poly"] <= len(divs)
+    assert calls["divisors_of"] <= len(divs)
+
+
+def test_char_tables_concurrent_first_calls():
+    # racing first calls on fresh tables must build the order table once,
+    # and every caller must see the shifts of each order
+    import knpair.characters as characters
+
+    ctx = make_field(2, 1, 6)
+    ref = char_tables(ctx)
+    want_table = ref.add_order_table()
+    want_ys = [ref.ys_of_order(i) for i in range(len(ref.divisors))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            tab = characters._CharTables(ctx)
+            start = threading.Barrier(8)
+            got = []
+
+            def work():
+                start.wait(timeout=10)
+                ys = [tab.ys_of_order(i) for i in range(len(tab.divisors))]
+                got.append((tab.add_order_table(), ys))
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            assert got == [(want_table, want_ys)] * 8
+            assert all(table is got[0][0] for table, _ in got)
+    finally:
+        sys.setswitchinterval(old)

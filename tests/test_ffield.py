@@ -139,6 +139,34 @@ def test_frob_basis_concurrent_first_calls():
         sys.setswitchinterval(old)
 
 
+def test_trace_table_concurrent_first_calls():
+    # racing first calls on a fresh context must build the trace table once
+    base = make_field(3, 1, 7)
+    want = base._trace_table()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            ctx = FieldCtx(base.p, base.t, base.n, base.base_modulus, base.ext_modulus)
+            start = threading.Barrier(8)
+            got = []
+
+            def work():
+                start.wait(timeout=10)
+                got.append(ctx._trace_table())
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            assert got == [want] * 8
+            assert all(table is got[0] for table in got)
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_trace_abs_f8(f8):
     assert trace_abs(f8.zero()) == 0
     fibers = {0: 0, 1: 0}
