@@ -14,8 +14,10 @@ grouped into per-slot factors, which leaves the value unchanged), and the
 test suite checks them against the direct indicators from modstruct.
 Everything those sums need of a polynomial argument -- whether it divides
 x^n - 1, its Phi_q and mu', and the list of its own divisors -- is looked
-up by its index in the per-field divisor lattice of x^n - 1, which the
-tables build once; no polynomial is factored per element.
+up by its index in the divisor lattice of x^n - 1
+(modstruct.divisor_lattice), which is read off the one factorization of
+x^n - 1 once per context; no polynomial is factored per element.  The
+tables live on the context (FieldCtx.memo).
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from math import gcd as int_gcd
 
 from .errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
 from .ffield import FieldCtx, FieldElement
-from .fqpoly import PolyQ, divisors_of, factor_poly
+from .fqpoly import PolyQ, divisors_of
 from .intarith import divisors as int_divisors
 from .intarith import euler_phi, moebius
-from .modstruct import GDecomposition, RDecomposition, mod_action
+from .modstruct import GDecomposition, RDecomposition, divisor_lattice, mod_action
 from .search import scan_tables
 
 CHARFUN_CEILING = 1 << 9
@@ -45,24 +47,21 @@ class _CharTables:
         if ctx.order > ADD_ORDER_CEILING:
             raise FieldTooLarge(f"|F| = {ctx.order} exceeds the character ceiling {ADD_ORDER_CEILING}")
         self.ctx = ctx
-        # the dlog walk and the monic divisors of x^n - 1 in (degree, coeffs)
-        # order come from the table engine; log_codes[0] is -1, and mulc and
-        # char_eval reject zero before they look it up
+        # the dlog walk comes from the table engine; log_codes[0] is -1, and
+        # mulc and char_eval reject zero before they look it up
         scan = scan_tables(ctx)
         self.pow_codes = scan.pow_codes
         self.log_codes = scan.log_codes
-        self.divisors = divs = scan.divisors
-        self.div_index = index = scan.div_index
+        lattice = divisor_lattice(ctx)
+        self.divisors = lattice.divisors
+        self.div_index = lattice.div_index
+        self.phi_q = lattice.phi_q
+        self.mu_prime = lattice.mu_prime
+        self.sub_divisors = lattice.sub_divisors
         self.trace = [ctx._trace_abs(ctx.from_code(c).coeffs) for c in range(ctx.order)]
         tau = 2j * cmath.pi
         self.psi0 = [cmath.exp(tau * t / ctx.p) for t in self.trace]
         self.roots = [cmath.exp(tau * m / ctx.N) for m in range(ctx.N)]
-        facts = [factor_poly(h) for h in divs[1:]]
-        self.phi_q = [1] + [f.phi_q() for f in facts]
-        self.mu_prime = [1] + [f.moebius_prime() for f in facts]
-        # indices of the divisors of each divisor, in divisors_of order, so
-        # the character sums add up in the same order as over divisors_of(h)
-        self.sub_divisors = [[index[d] for d in divisors_of(h)] for h in divs]
         self._order_table: list[int] | None = None
         self._ys_by_order: dict[int, list[int]] = {}
         self._order_lock = threading.Lock()
@@ -138,15 +137,8 @@ class _CharTables:
         return total
 
 
-_TABLES: dict[FieldCtx, _CharTables] = {}
-
-
 def char_tables(ctx: FieldCtx) -> _CharTables:
-    tab = _TABLES.get(ctx)
-    if tab is None:
-        tab = _CharTables(ctx)
-        _TABLES[ctx] = tab
-    return tab
+    return ctx.memo(_CharTables)
 
 
 # -- individual characters -------------------------------------------------------

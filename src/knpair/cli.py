@@ -198,8 +198,8 @@ def verify_report(report: dict) -> bool:
 
 # -- reproduce targets -------------------------------------------------------------
 
-def _pair_row(q: int, n: int, r: int, k: int, expected: bool, jobs: int, ceiling: int, hints) -> dict:
-    out = search.search_pair(q, n, r, k, ceiling_bits=ceiling, jobs=jobs, factor_hints=hints)
+def _pair_row(q: int, n: int, r: int, k: int, expected: bool, ceiling: int, hints) -> dict:
+    out = search.search_pair(q, n, r, k, ceiling_bits=ceiling, factor_hints=hints)
     ctx = field_for(q, n)
     return {
         "q": q,
@@ -215,20 +215,20 @@ def _pair_row(q: int, n: int, r: int, k: int, expected: bool, jobs: int, ceiling
     }
 
 
-def run_reproduce(target: str, jobs: int, ceiling: int, hints) -> dict:
+def run_reproduce(target: str, ceiling: int, hints) -> dict:
     rows: list[dict] = []
     if target == "spnbt-exceptions":
         for q, n in SPNBT_EXCEPTIONS:
-            rows.append(_pair_row(q, n, 1, 0, False, jobs, ceiling, hints))
+            rows.append(_pair_row(q, n, 1, 0, False, ceiling, hints))
         for q, n in SPNBT_CONTROLS:
-            rows.append(_pair_row(q, n, 1, 0, True, jobs, ceiling, hints))
+            rows.append(_pair_row(q, n, 1, 0, True, ceiling, hints))
     elif target == "t13-exception":
-        rows.append(_pair_row(4, 5, 1, 1, False, jobs, ceiling, hints))
-        out = search.direct_search(4, 5, ceiling_bits=ceiling, jobs=jobs, factor_hints=hints)
+        rows.append(_pair_row(4, 5, 1, 1, False, ceiling, hints))
+        out = search.direct_search(4, 5, ceiling_bits=ceiling, factor_hints=hints)
         rows.append({"q": 4, "n": 5, "algorithm": "direct-search", "expected_found": False,
                      "found": out.found, "match": out.found is False, "witness": "", "scanned": out.scanned})
         for q, n in T13_DIRECT_FOUND:
-            out = search.direct_search(q, n, ceiling_bits=ceiling, jobs=jobs, factor_hints=hints)
+            out = search.direct_search(q, n, ceiling_bits=ceiling, factor_hints=hints)
             ctx = field_for(q, n)
             rows.append({"q": q, "n": n, "algorithm": "direct-search", "expected_found": True,
                          "found": out.found, "match": out.found is True,
@@ -237,9 +237,9 @@ def run_reproduce(target: str, jobs: int, ceiling: int, hints) -> dict:
                          "field": {"p": ctx.p, "t": ctx.t, "n": ctx.n}})
     elif target == "conjecture-exceptions":
         for q in CONJECTURE_NOT_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, False, jobs, ceiling, hints))
+            rows.append(_pair_row(q, 6, 1, 1, False, ceiling, hints))
         for q in CONJECTURE_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, True, jobs, ceiling, hints))
+            rows.append(_pair_row(q, 6, 1, 1, True, ceiling, hints))
     elif target == "table3-spot":
         for q, n in TABLE3_FAIL + TABLE3_HOLD:
             verdict = bounds.basic_inequality(q, n, 1, 1, theta_mult=3)
@@ -256,7 +256,7 @@ def run_reproduce(target: str, jobs: int, ceiling: int, hints) -> dict:
                          "pairs_tried": out.pairs_tried})
     elif target == "thm11-spot":
         for q, n, expected in THM11_SPOTS:
-            rows.append(_pair_row(q, n, 2, 2, expected, jobs, ceiling, hints))
+            rows.append(_pair_row(q, n, 2, 2, expected, ceiling, hints))
     else:
         raise ValueError(f"unknown reproduce target {target!r}")
     return {"rows": rows, "ok": all(row["match"] for row in rows)}
@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="knpair", description=__doc__)
     top.add_argument("--hints", metavar="FILE", help="factorization hints file")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--jobs", type=int, default=1)
+    top.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility and ignored; scans run in one thread")
     top.add_argument("--ceiling", type=int, default=search.ENUM_CEILING_BITS_DEFAULT,
                      metavar="BITS", help="enumeration ceiling, log2 of field size")
     sub = top.add_subparsers(dest="command", required=True)
@@ -386,19 +387,19 @@ def _dispatch(args, hints) -> tuple[dict, int]:
         return make_report(cmd, {"q": args.q, "n": args.n, "d_expr": args.d_expr, "n0": args.n0,
                                  "theta": args.theta}, result, t0, hints=hints), code
     if cmd == "direct-search":
-        out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling, jobs=args.jobs, factor_hints=hints)
+        out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling, factor_hints=hints)
         ctx = field_for(args.q, args.n)
         code = 0 if out.found else 3
         return make_report(cmd, {"q": args.q, "n": args.n}, out, t0, ctx=ctx, hints=hints), code
     if cmd == "search-pair":
         out = search.search_pair(args.q, args.n, args.r, args.k, ceiling_bits=args.ceiling,
-                                 jobs=args.jobs, factor_hints=hints)
+                                 factor_hints=hints)
         ctx = field_for(args.q, args.n)
         code = 0 if out.found else 3
         return make_report(cmd, {"q": args.q, "n": args.n, "r": args.r, "k": args.k}, out, t0,
                            ctx=ctx, hints=hints), code
     if cmd == "reproduce":
-        result = run_reproduce(args.target, args.jobs, args.ceiling, hints)
+        result = run_reproduce(args.target, args.ceiling, hints)
         code = 0 if result["ok"] else 3
         return make_report(cmd, {"target": args.target}, result, t0, hints=hints), code
     raise ValueError(f"unknown command {cmd!r}")

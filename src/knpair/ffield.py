@@ -194,12 +194,10 @@ class FieldCtx:
         self.ext_modulus = ext_modulus
         self.fq = Fq(p, t, base_modulus)
         self.factor_hints = factor_hints
-        self._fact: IntFactorization | None = None
-        self._fact_lock = threading.Lock()
+        self._memo: dict = {}
+        self._memo_lock = threading.RLock()
         self._frob_images: list[list[list[int]]] = []  # per power i: basis images
         self._frob_lock = threading.Lock()
-        self._trace_basis: list[int] | None = None
-        self._trace_lock = threading.Lock()
 
     # -- context identity ---------------------------------------------------
     def _key(self):
@@ -214,14 +212,27 @@ class FieldCtx:
     def __repr__(self) -> str:
         return f"FieldCtx({self.p}^{self.t}:{self.n})"
 
-    # -- factorization of q^n - 1 -------------------------------------------
+    # -- per-field state, built once ------------------------------------------
+    def memo(self, build):
+        """build(self), computed on the first call and shared by every later one.
+
+        Racing first calls build once: the build runs under the context's
+        lock, re-checked inside.  The lock is reentrant because builds nest
+        (the character tables build the scan tables, which build the divisor
+        lattice, which factors x^n - 1).  A build that raises caches nothing.
+        """
+        try:
+            return self._memo[build]
+        except KeyError:
+            pass
+        with self._memo_lock:
+            if build not in self._memo:
+                self._memo[build] = build(self)
+            return self._memo[build]
+
     @property
     def fact_qn_minus_1(self) -> IntFactorization:
-        if self._fact is None:
-            with self._fact_lock:
-                if self._fact is None:
-                    self._fact = factor_int(self.N, hints=self.factor_hints)
-        return self._fact
+        return self.memo(_factor_qn_minus_1)
 
     # -- element constructors -------------------------------------------------
     def element(self, coeffs) -> "FieldElement":
@@ -349,11 +360,7 @@ class FieldCtx:
     # -- absolute trace -------------------------------------------------------
     def _trace_table(self) -> list[int]:
         """Trace of each F_p-coordinate basis element y^j x^i."""
-        if self._trace_basis is None:
-            with self._trace_lock:
-                if self._trace_basis is None:
-                    self._trace_basis = self._build_trace_basis()
-        return self._trace_basis
+        return self.memo(FieldCtx._build_trace_basis)
 
     def _build_trace_basis(self) -> list[int]:
         p, t, n = self.p, self.t, self.n
@@ -384,6 +391,10 @@ class FieldCtx:
                     acc += d * tb[idx]
                 idx += 1
         return acc % p
+
+
+def _factor_qn_minus_1(ctx: FieldCtx) -> IntFactorization:
+    return factor_int(ctx.N, hints=ctx.factor_hints)
 
 
 class FieldElement:

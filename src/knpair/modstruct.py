@@ -2,10 +2,11 @@
 
 The additive group of F_{q^n} is an F_q[x]-module under
 h o b = sum a_i b^(q^i); every element is annihilated by x^n - 1.  This
-module provides the action itself, the minimal annihilating divisor
-(fq_order), k-normality, the freeness tests, the multiplicative and
-module-theoretic decompositions of r and g, and membership tests for the
-element classes the counting machinery quantifies over.
+module provides the divisor lattice of x^n - 1, the action itself, the
+minimal annihilating divisor (fq_order), k-normality, the freeness tests,
+the multiplicative and module-theoretic decompositions of r and g, and
+membership tests for the element classes the counting machinery
+quantifies over.
 """
 
 from __future__ import annotations
@@ -13,12 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .errors import CtxMismatch, NotADivisor, ZeroElement
+from .errors import CtxMismatch, NotADivisor, TooManyDivisors, ZeroElement
 from .ffield import FieldCtx, FieldElement, mult_order
-from .fqpoly import PolyFactorization, PolyQ, factor_poly
+from .fqpoly import DIVISOR_CEILING, PolyFactorization, PolyQ, factor_poly
 from .intarith import IntFactorization, factor_int
 
-_XN1_CACHE: dict[FieldCtx, tuple[PolyQ, PolyFactorization]] = {}
+
+def _factor_xn1(ctx: FieldCtx) -> tuple[PolyQ, PolyFactorization]:
+    poly = PolyQ.xn_minus_1(ctx.fq, ctx.n)
+    return poly, factor_poly(poly)
+
+
+def _xn1_fact(ctx: FieldCtx) -> tuple[PolyQ, PolyFactorization]:
+    return ctx.memo(_factor_xn1)
 
 
 def xn1(ctx: FieldCtx) -> PolyQ:
@@ -26,32 +34,84 @@ def xn1(ctx: FieldCtx) -> PolyQ:
     return _xn1_fact(ctx)[0]
 
 
-def _xn1_fact(ctx: FieldCtx) -> tuple[PolyQ, PolyFactorization]:
-    got = _XN1_CACHE.get(ctx)
-    if got is None:
-        poly = PolyQ.xn_minus_1(ctx.fq, ctx.n)
-        got = (poly, factor_poly(poly))
-        _XN1_CACHE[ctx] = got
-    return got
-
-
 def xn1_factorization(ctx: FieldCtx) -> PolyFactorization:
     return _xn1_fact(ctx)[1]
 
 
+class DivisorLattice:
+    """The monic divisors of x^n - 1, read off its factorization.
+
+    A divisor is an exponent vector a over the factors f_j^e_j of x^n - 1
+    (0 <= a_j <= e_j).  ``divisors`` lists them in (degree, coeffs) order and
+    ``div_index`` inverts that list.  For each divisor h, by index:
+
+    - ``quot[h][j]`` is the index of h / f_j, or -1 when f_j does not divide h;
+    - ``phi_q[h]`` and ``mu_prime[h]`` are Phi_q(h) and mu'(h);
+    - ``sub_divisors[h]`` lists the indices of the divisors of h in
+      ``divisors_of(h)`` order (first factor's exponent cycling fastest), so
+      sums over it add their terms in the same order as sums over
+      ``divisors_of(h)``.
+
+    ``top`` is the index of x^n - 1 itself.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        fact = xn1_factorization(ctx)
+        self.factors = factors = fact.factors
+        one = PolyQ.one(ctx.fq)
+        # odometer position of a vector a is sum a_j * stride[j], the order
+        # in which divisors_of builds the products
+        stride, count = [], 1
+        for _, e in factors:
+            stride.append(count)
+            count *= e + 1
+        if count > DIVISOR_CEILING:
+            raise TooManyDivisors(f"{count} divisors exceed the ceiling {DIVISOR_CEILING}")
+        polys, vecs = [one], [()]
+        for f, e in factors:
+            powers = [one]
+            for _ in range(e):
+                powers.append(powers[-1] * f)
+            polys = [d * p for p in powers for d in polys]
+            vecs = [v + (a,) for a in range(e + 1) for v in vecs]
+        order = sorted(range(count), key=lambda i: polys[i].sort_key())
+        index_at = [0] * count  # odometer position -> sorted index
+        for idx, i in enumerate(order):
+            index_at[i] = idx
+        self.divisors = [polys[i] for i in order]
+        self.div_index = {h: idx for idx, h in enumerate(self.divisors)}
+        self.top = index_at[count - 1]
+        q = ctx.q
+        self.quot, self.phi_q, self.mu_prime, self.sub_divisors = [], [], [], []
+        for i in order:
+            vec = vecs[i]
+            self.quot.append([index_at[i - s] if a else -1 for a, s in zip(vec, stride)])
+            phi, subs = 1, [0]
+            for (f, _), a, s in zip(factors, vec, stride):
+                if a:
+                    phi *= q ** (f.degree * a) - q ** (f.degree * (a - 1))
+                subs = [t + b * s for b in range(a + 1) for t in subs]
+            self.phi_q.append(phi)
+            self.mu_prime.append(0 if any(a > 1 for a in vec) else (-1) ** sum(vec))
+            self.sub_divisors.append([index_at[t] for t in subs])
+
+
+def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
+    return ctx.memo(DivisorLattice)
+
+
 # -- the module action ----------------------------------------------------------
 
-def frobenius_orbit(b: FieldElement, length: int | None = None) -> list[tuple]:
-    """[b, b^q, ..., b^(q^(length-1))] as raw coefficient tuples."""
-    ctx = b.ctx
-    length = ctx.n if length is None else length
-    orbit = [b.coeffs]
-    for _ in range(length - 1):
+def frobenius_orbit(ctx: FieldCtx, coeffs: tuple) -> list[tuple]:
+    """[b, b^q, ..., b^(q^(n-1))] as raw coefficient tuples, for the element b
+    with these coefficients."""
+    orbit = [coeffs]
+    for _ in range(ctx.n - 1):
         orbit.append(ctx._frob(orbit[-1]))
     return orbit
 
 
-def _action_coeffs(ctx: FieldCtx, g_coeffs: tuple, orbit: list[tuple]) -> tuple:
+def action_coeffs(ctx: FieldCtx, g_coeffs: tuple, orbit: list[tuple]) -> tuple:
     n = ctx.n
     acc = (0,) * n
     for i, c in enumerate(g_coeffs):
@@ -65,14 +125,14 @@ def mod_action(g: PolyQ, b: FieldElement) -> FieldElement:
     ctx = b.ctx
     if g.fq != ctx.fq:
         raise CtxMismatch("polynomial and element live over different F_q")
-    orbit = frobenius_orbit(b)
-    return FieldElement(ctx, _action_coeffs(ctx, g.coeffs, orbit))
+    orbit = frobenius_orbit(ctx, b.coeffs)
+    return FieldElement(ctx, action_coeffs(ctx, g.coeffs, orbit))
 
 
 def m_poly(a: FieldElement) -> list[FieldElement]:
     """Coefficients (constant first) of sum_i a^(q^(i-1)) x^(n-i)."""
     ctx = a.ctx
-    orbit = frobenius_orbit(a)
+    orbit = frobenius_orbit(ctx, a.coeffs)
     # coefficient of x^j is a^(q^(n-1-j))
     return [FieldElement(ctx, orbit[ctx.n - 1 - j]) for j in range(ctx.n)]
 
@@ -106,13 +166,13 @@ def fq_order(a: FieldElement) -> PolyQ:
     """Minimal monic divisor h of x^n - 1 with h o a = 0 (1 for the zero element)."""
     ctx = a.ctx
     poly, fact = _xn1_fact(ctx)
-    orbit = frobenius_orbit(a)
+    orbit = frobenius_orbit(ctx, a.coeffs)
     zero = (0,) * ctx.n
     h = poly
     for f, e in fact.factors:
         for _ in range(e):
             cand = h // f
-            if _action_coeffs(ctx, cand.coeffs, orbit) == zero:
+            if action_coeffs(ctx, cand.coeffs, orbit) == zero:
                 h = cand
             else:
                 break
@@ -272,14 +332,14 @@ def in_TgkH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> bool:
         raise ZeroElement("T_{g,k}^H membership is defined for nonzero elements only")
     if not is_h_free(a, H):
         return False
-    orbit = frobenius_orbit(a)
+    orbit = frobenius_orbit(ctx, a.coeffs)
     zero = (0,) * ctx.n
     co_g = gd.xn1 // gd.g
-    if _action_coeffs(ctx, co_g.coeffs, orbit) != zero:
+    if action_coeffs(ctx, co_g.coeffs, orbit) != zero:
         return False
     for lam in gd.lambdas:
         co_lam = gd.xn1 // lam
-        if _action_coeffs(ctx, co_lam.coeffs, orbit) == zero:
+        if action_coeffs(ctx, co_lam.coeffs, orbit) == zero:
             return False
     return True
 

@@ -1,18 +1,21 @@
 """Exhaustive ground truth: pair searches, the Eq-style counting oracle, and
 element censuses.
 
-Two engines coexist.  The streaming engine walks elements in enumeration
-order computing per-element predicates directly (cheap k-normality first,
-inverse next, exact order last) and is what the searches use; it never
-builds field-sized tables, so found-cases exit early and not-found cases
-stay within memory.  The table engine builds, once per context, two tables
+Two engines coexist, and both read the divisor lattice of x^n - 1
+(modstruct.divisor_lattice).  The streaming engine walks elements in
+enumeration order computing per-element predicates directly (cheap
+k-normality first, by descent through the lattice's quotients, inverse
+next, exact order last) and is what the searches use; it never builds
+field-sized tables, so found-cases exit early and not-found cases stay
+within memory.  The table engine builds, once per context, two tables
 from the linear structure of the field.  The discrete-log walk applies the
 F_q-linear map "multiply by a primitive element" q^n - 1 times.  The
 F_q-order table walks the divisors h of x^n - 1 by ascending degree and
 enumerates each kernel ker h(sigma), a q^(deg h)-element subspace spanned by
 the Frobenius images of ((x^n - 1)/h) o gamma for a normal gamma; the
 first kernel that reaches an element is the one of its order.  Counting
-operations and censuses run off those tables.
+operations and censuses run off those tables, which live on the context
+(FieldCtx.memo) like every other per-field object.
 Witnesses returned by any search are re-verified through the direct
 modstruct predicates before being reported.
 """
@@ -20,26 +23,27 @@ modstruct predicates before being reported.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd as int_gcd
 from operator import mul
 
 from .errors import FieldTooLarge, NotADivisor, RNotDivisor
 from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
-from .fqpoly import PolyQ, divisors_of
+from .fqpoly import PolyQ
 from .modstruct import (
+    action_coeffs,
     decompose_g,
     decompose_r,
+    divisor_lattice,
+    frobenius_orbit,
     k_normality,
     m_gcd_degree,
+    mod_action,
     xn1,
-    xn1_factorization,
 )
 
 ENUM_CEILING_BITS_DEFAULT = 24
 TABLE_CEILING = 1 << 20
-CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -57,48 +61,24 @@ class _Predicates:
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        fact = xn1_factorization(ctx)
-        divs = sorted(divisors_of(xn1(ctx)), key=lambda h: h.sort_key())
-        self.divisors = divs
-        self.div_index = {h: i for i, h in enumerate(divs)}
-        self.factors = fact.factors
-        # quotient index per (divisor, factor) where the factor divides it
-        self.quot = [
-            {f: self.div_index[h // f] for f, _ in fact.factors if f.divides(h)}
-            for h in divs
-        ]
-        self.top = self.div_index[xn1(ctx)]
+        lattice = divisor_lattice(ctx)
+        self.divisors = lattice.divisors
+        self.factors = lattice.factors
+        self.quot = lattice.quot
+        self.top = lattice.top
         self.zero = (0,) * ctx.n
-
-    def orbit(self, coeffs: tuple) -> list[tuple]:
-        ctx = self.ctx
-        out = [coeffs]
-        for _ in range(ctx.n - 1):
-            out.append(ctx._frob(out[-1]))
-        return out
-
-    def action(self, poly: PolyQ, orbit: list[tuple]) -> tuple:
-        """poly o b, given the Frobenius orbit of b."""
-        ctx = self.ctx
-        acc = self.zero
-        for i, c in enumerate(poly.coeffs):
-            if c:
-                acc = ctx._add(acc, ctx._scale(orbit[i % ctx.n], c))
-        return acc
 
     def ord_divisor_index(self, coeffs: tuple) -> int:
         """Index of the F_q-order of the element with these coefficients."""
-        orbit = self.orbit(coeffs)
+        ctx = self.ctx
+        orbit = frobenius_orbit(ctx, coeffs)
         cur = self.top
-        for f, e in self.factors:
+        for j, (_, e) in enumerate(self.factors):
             for _ in range(e):
-                nxt = self.quot[cur].get(f)
-                if nxt is None:
+                nxt = self.quot[cur][j]
+                if nxt < 0 or action_coeffs(ctx, self.divisors[nxt].coeffs, orbit) != self.zero:
                     break
-                if self.action(self.divisors[nxt], orbit) == self.zero:
-                    cur = nxt
-                else:
-                    break
+                cur = nxt
         return cur
 
     def knorm(self, coeffs: tuple) -> int:
@@ -118,17 +98,6 @@ class _Predicates:
         return True
 
 
-_PRED_CACHE: dict[FieldCtx, _Predicates] = {}
-
-
-def _preds(ctx: FieldCtx) -> _Predicates:
-    got = _PRED_CACHE.get(ctx)
-    if got is None:
-        got = _Predicates(ctx)
-        _PRED_CACHE[ctx] = got
-    return got
-
-
 class _ScanTables:
     """Full dlog walk plus the F_q-order of every element, by code."""
 
@@ -136,9 +105,9 @@ class _ScanTables:
         if ctx.order > TABLE_CEILING:
             raise FieldTooLarge(f"|F| = {ctx.order} exceeds the table ceiling {TABLE_CEILING}")
         self.ctx = ctx
-        preds = _preds(ctx)
-        self.divisors = preds.divisors
-        self.div_index = preds.div_index
+        lattice = divisor_lattice(ctx)
+        self.divisors = lattice.divisors
+        self.div_index = lattice.div_index
         n, N = ctx.n, ctx.N
         # multiplication by the primitive element is F_q-linear: its value on
         # a = lo + x^m hi is the sum of the images of lo and of x^m hi, each
@@ -161,9 +130,9 @@ class _ScanTables:
             cur = ctx._add(low[lo], high[hi])
         self.pow_codes = pow_codes
         self.log_codes = log_codes
-        self.ord_idx = self._order_table(preds)
+        self.ord_idx = self._order_table()
 
-    def _order_table(self, preds: _Predicates) -> list[int]:
+    def _order_table(self) -> list[int]:
         """F_q-order index of every code, from the kernels of h(sigma).
 
         With gamma normal, ker h(sigma) = {f o beta_h : deg f < deg h} for
@@ -173,19 +142,20 @@ class _ScanTables:
         reaches a code is the one of its order.
         """
         ctx = self.ctx
+        preds = _Predicates(ctx)
         # low codes are sparse polynomials in x and rarely normal (the first
         # normal code of F_13^4 is 2380); powers of a generator are not
         for code in self.pow_codes:
             gamma = ctx.from_code(code).coeffs
             if preds.knorm(gamma) == 0:
                 break
-        orbit = preds.orbit(gamma)
+        orbit = frobenius_orbit(ctx, gamma)
         poly = xn1(ctx)
         weights = self.weights
         table = [-1] * ctx.order
         table[0] = 0  # divisors[0] = 1, the order of zero
         for idx, h in enumerate(self.divisors[1:], 1):
-            basis = [preds.action(poly // h, orbit)]
+            basis = [action_coeffs(ctx, (poly // h).coeffs, orbit)]
             for _ in range(h.degree - 1):
                 basis.append(ctx._frob(basis[-1]))
             for alpha in _span(ctx, basis):
@@ -227,15 +197,8 @@ def _span(ctx: FieldCtx, basis: list[tuple]):
         yield alpha
 
 
-_TABLE_CACHE: dict[FieldCtx, _ScanTables] = {}
-
-
 def scan_tables(ctx: FieldCtx) -> _ScanTables:
-    got = _TABLE_CACHE.get(ctx)
-    if got is None:
-        got = _ScanTables(ctx)
-        _TABLE_CACHE[ctx] = got
-    return got
+    return ctx.memo(_ScanTables)
 
 
 # -- searches ---------------------------------------------------------------------
@@ -245,58 +208,28 @@ def _ceiling_check(ctx: FieldCtx, ceiling_bits: int) -> None:
         raise FieldTooLarge(f"|F| = {ctx.order} exceeds the enumeration ceiling 2^{ceiling_bits}")
 
 
-def _scan_ranges(total: int, jobs: int):
-    if jobs <= 1:
-        yield [(0, total)]
-        return
-    starts = list(range(0, total, CHUNK))
-    for i in range(0, len(starts), jobs):
-        yield [(s, min(s + CHUNK, total)) for s in starts[i : i + jobs]]
-
-
-def _run_partitioned(total: int, jobs: int, scan_chunk):
-    """Scan [0, total) in chunk waves; first hit in chunk order wins."""
-    scanned = 0
-    if jobs <= 1:
-        hit, seen = scan_chunk(0, total)
-        return hit, seen
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for wave in _scan_ranges(total, jobs):
-            results = list(pool.map(lambda lohi: scan_chunk(*lohi), wave))
-            for hit, seen in results:
-                scanned += seen
-                if hit is not None:
-                    return hit, scanned
-    return None, scanned
-
-
 def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
-                jobs: int = 1, factor_hints=None) -> SearchOutcome:
+                factor_hints=None) -> SearchOutcome:
     """First alpha in enumeration order with ord(alpha) = ord(alpha^-1) = (q^n-1)/r
     and both alpha, alpha^-1 k-normal."""
     ctx = field_for(q, n, factor_hints=factor_hints)
     _ceiling_check(ctx, ceiling_bits)
     if r < 1 or ctx.N % r:
         raise RNotDivisor(f"r = {r} does not divide q^n - 1")
-    preds = _preds(ctx)
+    preds = _Predicates(ctx)
     t0 = time.perf_counter()
-
-    def scan_chunk(lo: int, hi: int):
-        seen = 0
-        for code in range(max(lo, 1), hi):
-            seen += 1
-            coeffs = ctx.from_code(code).coeffs
-            if preds.knorm(coeffs) != k:
-                continue
-            inv = ctx._inv(coeffs)
-            if preds.knorm(inv) != k:
-                continue
-            if not preds.order_is(coeffs, r):
-                continue
-            return code, seen
-        return None, seen
-
-    hit, scanned = _run_partitioned(ctx.order, jobs, scan_chunk)
+    hit, scanned = None, 0
+    for code in range(1, ctx.order):
+        scanned += 1
+        coeffs = ctx.from_code(code).coeffs
+        if preds.knorm(coeffs) != k:
+            continue
+        inv = ctx._inv(coeffs)
+        if preds.knorm(inv) != k:
+            continue
+        if preds.order_is(coeffs, r):
+            hit = code
+            break
     elapsed = time.perf_counter() - t0
     if hit is None:
         return SearchOutcome(False, None, scanned, elapsed)
@@ -321,7 +254,7 @@ def _verify_pair_witness(alpha: FieldElement, r: int, k: int) -> None:
 
 
 def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
-                  jobs: int = 1, factor_hints=None) -> SearchOutcome:
+                  factor_hints=None) -> SearchOutcome:
     """Sweep alpha = beta^q - beta for a primitive 1-normal pair (alpha, alpha^-1).
 
     Accepts the first beta whose alpha is nonzero with
@@ -330,28 +263,23 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
     element, which is the same quantity)."""
     ctx = field_for(q, n, factor_hints=factor_hints)
     _ceiling_check(ctx, ceiling_bits)
-    preds = _preds(ctx)
+    preds = _Predicates(ctx)
     t0 = time.perf_counter()
-
-    def scan_chunk(lo: int, hi: int):
-        seen = 0
-        for code in range(lo, hi):
-            seen += 1
-            beta = ctx.from_code(code).coeffs
-            alpha = ctx._sub(ctx._frob(beta), beta)
-            if all(c == 0 for c in alpha):
-                continue
-            if preds.knorm(alpha) != 1:
-                continue
-            inv = ctx._inv(alpha)
-            if preds.knorm(inv) != 1:
-                continue
-            if not preds.order_is(alpha, 1):
-                continue
-            return code, seen
-        return None, seen
-
-    hit, scanned = _run_partitioned(ctx.order, jobs, scan_chunk)
+    hit, scanned = None, 0
+    for code in range(ctx.order):
+        scanned += 1
+        beta = ctx.from_code(code).coeffs
+        alpha = ctx._sub(ctx._frob(beta), beta)
+        if all(c == 0 for c in alpha):
+            continue
+        if preds.knorm(alpha) != 1:
+            continue
+        inv = ctx._inv(alpha)
+        if preds.knorm(inv) != 1:
+            continue
+        if preds.order_is(alpha, 1):
+            hit = code
+            break
     elapsed = time.perf_counter() - t0
     if hit is None:
         return SearchOutcome(False, None, scanned, elapsed)
@@ -383,8 +311,6 @@ def _divisor_predicates(ctx: FieldCtx, tables: _ScanTables, g: PolyQ, h: PolyQ, 
 
 def _g_action_codes(ctx: FieldCtx, g: PolyQ) -> list[list[int]]:
     """Images of the power basis under (g o .), as coefficient tuples."""
-    from .modstruct import mod_action
-
     images = []
     for j in range(ctx.n):
         basis = ctx.element(tuple(1 if i == j else 0 for i in range(ctx.n)))

@@ -202,38 +202,6 @@ def test_charfun_divisor_errors_and_monic_form():
             assert q_gH(el, gd, PolyQ(fq, (1, 2))) == q_gH(el, gd, x_plus_2)
 
 
-def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
-    import knpair.characters as characters
-
-    ctx = make_field(2, 1, 6)  # x^6 - 1 = (x + 1)^2 (x^2 + x + 1)^2, 9 divisors
-    divs = divisors_of(xn1(ctx))
-    decomps = [(g, decompose_g(g, ctx)) for g in divs]
-    calls = {"factor_poly": 0, "divisors_of": 0}
-
-    def counted(name):
-        real = getattr(characters, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(characters, name, counted(name))
-    monkeypatch.setattr(characters, "_TABLES", {})  # the tables are built inside the count
-    els = [ctx.from_code(c) for c in range(ctx.order)]
-    for g, gd in decomps:
-        for a in els:
-            upsilon_g(a, g)
-            psi_set(a, g)
-        for H in divisors_of(gd.G):
-            for a in els[1:]:
-                q_gH(a, gd, H)
-    assert len(divs) == 9 and ctx.order == 64
-    assert calls["factor_poly"] <= len(divs)
-    assert calls["divisors_of"] <= len(divs)
-
-
 def test_char_tables_concurrent_first_calls():
     # racing first calls on fresh tables must build the order table once,
     # and every caller must see the shifts of each order

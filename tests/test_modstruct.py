@@ -1,14 +1,17 @@
 import random
+import sys
 
 import pytest
 
+from knpair.characters import psi_set, q_gH, upsilon_g
 from knpair.errors import NotADivisor, ZeroElement
-from knpair.ffield import field_for, frobenius, make_field, mult_order
-from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
+from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
+from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
 from knpair.intarith import euler_phi
 from knpair.modstruct import (
     decompose_g,
     decompose_r,
+    divisor_lattice,
     fq_order,
     in_Qrd,
     in_Sgk,
@@ -20,6 +23,7 @@ from knpair.modstruct import (
     m_poly,
     mod_action,
     xn1,
+    xn1_factorization,
 )
 
 
@@ -262,3 +266,64 @@ def test_in_Qrd_bad_d():
         in_Qrd(ctx.one(), rd, 3)  # 3 does not divide R = 5
     with pytest.raises(ZeroElement):
         in_Qrd(ctx.zero(), rd, rd.R)
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (4, 4), (3, 5), (7, 3), (2, 6), (9, 2), (5, 3), (3, 6),
+                                  (13, 4), (2, 12), (16, 3), (7, 6), (5, 1)])
+def test_divisor_lattice_against_factoring(q, n):
+    # the lattice reads only the factorization of x^n - 1; the path it
+    # replaced factors every divisor and enumerates the divisors of each
+    ctx = field_for(q, n)
+    lattice = divisor_lattice(ctx)
+    poly = xn1(ctx)
+    divs = sorted(divisors_of(poly), key=lambda h: h.sort_key())
+    index = {h: i for i, h in enumerate(divs)}
+    assert lattice.divisors == divs
+    assert lattice.div_index == index
+    assert lattice.top == index[poly]
+    irreducibles = xn1_factorization(ctx).irreducibles
+    for i, h in enumerate(divs):
+        fact = factor_poly(h)
+        assert lattice.phi_q[i] == fact.phi_q()
+        assert lattice.mu_prime[i] == fact.moebius_prime()
+        assert lattice.sub_divisors[i] == [index[d] for d in divisors_of(h)]
+        assert lattice.quot[i] == [index[h // f] if f.divides(h) else -1 for f in irreducibles]
+
+
+def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
+    # counted at every knpair module binding, as the benchmark's tracer
+    # counts them; the context is fresh, so its tables build inside the count
+    import knpair.fqpoly as fqpoly
+
+    base = make_field(2, 1, 6)  # x^6 - 1 = (x + 1)^2 (x^2 + x + 1)^2, 9 divisors
+    ctx = FieldCtx(base.p, base.t, base.n, base.base_modulus, base.ext_modulus)
+    divs = divisors_of(xn1(base))
+    gds = [decompose_g(g, base) for g in divs]
+    Hs_of = [divisors_of(gd.G) for gd in gds]
+    els = [ctx.from_code(c) for c in range(ctx.order)]
+    calls = {"factor_poly": 0, "divisors_of": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        real = getattr(fqpoly, name)
+        for modname, mod in list(sys.modules.items()):
+            if mod is None or not (modname == "knpair" or modname.startswith("knpair.")):
+                continue
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, counted(name, real))
+    for g, gd, Hs in zip(divs, gds, Hs_of):
+        for a in els:
+            upsilon_g(a, g)
+            psi_set(a, g)
+        for H in Hs:
+            for a in els[1:]:
+                q_gH(a, gd, H)
+    assert len(divs) == 9 and ctx.order == 64
+    assert calls["factor_poly"] == 1  # x^n - 1 itself, once for the context
+    assert calls["divisors_of"] == 0

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import pytest
 
 from knpair.errors import FieldTooLarge, NotADivisor, RNotDivisor
-from knpair.ffield import field_for, mult_order
+from knpair.ffield import FieldCtx, field_for, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
 from knpair.intarith import euler_phi
@@ -85,15 +88,6 @@ def test_search_pair_bad_r():
 def test_enumeration_ceiling():
     with pytest.raises(FieldTooLarge):
         search_pair(2, 5, 1, 1, ceiling_bits=4)
-
-
-def test_jobs_determinism():
-    a = search_pair(3, 4, 1, 1, jobs=1)
-    b = search_pair(3, 4, 1, 1, jobs=3)
-    assert (a.found, a.witness, a.scanned) == (b.found, b.witness, b.scanned)
-    c = direct_search(2, 6, jobs=1)
-    d = direct_search(2, 6, jobs=4)
-    assert (c.found, c.witness, c.scanned) == (d.found, d.witness, d.scanned)
 
 
 def test_direct_search_agrees_with_search_pair():
@@ -222,3 +216,60 @@ def test_census_pair_table():
 def test_scanned_counts():
     out = search_pair(2, 3, 1, 0)
     assert out.scanned == 7  # all nonzero elements inspected
+
+
+def test_per_field_state_concurrent_first_calls(monkeypatch):
+    # racing first calls on a fresh context must build each per-field object
+    # once, and every thread must get that one object
+    import knpair.characters as characters
+    import knpair.modstruct as modstruct
+    import knpair.search as search
+
+    builds = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            builds.append(name)  # list.append is atomic
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(search._ScanTables, "__init__", counted("scan", search._ScanTables.__init__))
+    monkeypatch.setattr(characters._CharTables, "__init__", counted("char", characters._CharTables.__init__))
+    monkeypatch.setattr(modstruct, "factor_poly", counted("xn1", modstruct.factor_poly))
+    cases = [
+        (modstruct.xn1_factorization, ["xn1"]),
+        (scan_tables, ["scan", "xn1"]),
+        (characters.char_tables, ["char", "scan", "xn1"]),
+    ]
+    # caches keyed by context equality would hand a later trial the object of
+    # an earlier one, so every trial gets its own extension modulus: the 30
+    # monic irreducible octics over F_2
+    fq = field_for(2, 8).fq
+    moduli = [m for m in (tuple((v >> i) & 1 for i in range(8)) + (1,) for v in range(256))
+              if PolyQ(fq, m).is_irreducible()]
+    assert len(moduli) == 30
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i, modulus in enumerate(moduli):
+            get, want_builds = cases[i % 3]
+            ctx = FieldCtx(2, 1, 8, fq.modulus, modulus)
+            start = threading.Barrier(8)
+            got = []
+            builds.clear()
+
+            def work():
+                start.wait(timeout=10)
+                got.append(get(ctx))
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            assert len(got) == 8
+            assert all(obj is got[0] for obj in got)
+            assert sorted(builds) == want_builds
+    finally:
+        sys.setswitchinterval(old)
