@@ -300,6 +300,8 @@ class FieldCtx:
         return tuple(inv + [0] * (self.n - len(inv)))
 
     def _pow(self, a: tuple, e: int) -> tuple:
+        if self.n == 1:
+            return (self.fq.pow(a[0], e),)
         if e < 0:
             a, e = self._inv(a), -e
         out = (1,) + (0,) * (self.n - 1)

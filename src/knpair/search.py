@@ -2,22 +2,26 @@
 element censuses.
 
 Two engines coexist, and both read the divisor lattice of x^n - 1
-(modstruct.divisor_lattice).  The streaming engine walks elements in
-enumeration order computing per-element predicates directly (cheap
-k-normality first, by descent through the lattice's quotients, inverse
-next, exact order last) and is what the searches use; it never builds
-field-sized tables, so found-cases exit early and not-found cases stay
-within memory.  The table engine builds, once per context, two tables
-from the linear structure of the field.  The discrete-log walk applies the
-F_q-linear map "multiply by a primitive element" q^n - 1 times.  The
-F_q-order table walks the divisors h of x^n - 1 by ascending degree and
-enumerates each kernel ker h(sigma), a q^(deg h)-element subspace spanned by
-the Frobenius images of ((x^n - 1)/h) o gamma for a normal gamma; the
-first kernel that reaches an element is the one of its order.  Counting
-operations and censuses run off those tables, which live on the context
-(FieldCtx.memo) like every other per-field object.
-Witnesses returned by any search are re-verified through the direct
-modstruct predicates before being reported.
+(modstruct.divisor_lattice).  The streaming engine is what the searches
+use; it never builds field-sized tables, so found-cases exit early and
+not-found cases stay within memory.  search_pair visits only the k-normal
+elements, those whose F_q-order h has degree n - k: for each such h it
+enumerates ker h(sigma) from an echelon basis, which comes out in code
+order, keeps the elements that no (h/f)(sigma) with f a prime factor of h
+sends to zero, and merges these streams by code.  Each candidate then has
+its inverse's k-normality checked by descent through the lattice's
+quotients, and its exact order last.  direct_search walks every beta in
+code order with the same per-element predicates.  The table engine builds,
+once per context, two tables from the linear structure of the field.  The
+discrete-log walk applies the F_q-linear map "multiply by a primitive
+element" q^n - 1 times.  The F_q-order table walks the divisors h of
+x^n - 1 by ascending degree and enumerates each kernel ker h(sigma), a
+q^(deg h)-element subspace spanned by the Frobenius images of
+((x^n - 1)/h) o gamma for a normal gamma; the first kernel that reaches an
+element is the one of its order.  Counting operations and censuses run off
+those tables, which live on the context (FieldCtx.memo) like every other
+per-field object.  Witnesses returned by any search are re-verified
+through the direct modstruct predicates before being reported.
 """
 
 from __future__ import annotations
@@ -83,6 +87,54 @@ class _Predicates:
 
     def knorm(self, coeffs: tuple) -> int:
         return self.ctx.n - self.divisors[self.ord_divisor_index(coeffs)].degree
+
+    def exact_order(self, idx: int):
+        """(code, coeffs) of every element of F_q-order divisors[idx], in increasing code.
+
+        The null vectors of the matrix of h(sigma) in reduced echelon form
+        span ker h(sigma): free column f gives the vector that is 1 at f, 0 at
+        every other free column and minus the f-th entries of the pivot rows
+        at their pivots, all of which lie below f.  A kernel element's
+        coordinate at free column f is its digit there, and two kernel
+        elements first differ, reading from the top, at a free column; so the
+        odometer over these vectors, sorted by f, runs in code order.  It
+        carries the images under (h/f_j)(sigma) for the prime factors f_j of
+        h, and an element has order exactly h when none of them is zero.
+        """
+        ctx, fq, n = self.ctx, self.ctx.fq, self.ctx.n
+        h = self.divisors[idx].coeffs
+        # column j of the matrix of h(sigma) is the image of the j-th unit vector
+        units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+        cols = [action_coeffs(ctx, h, frobenius_orbit(ctx, e)) for e in units]
+        rows = [list(row) for row in zip(*cols)]
+        pivots: list[int] = []
+        for c in range(n):
+            rank = len(pivots)
+            piv = next((i for i in range(rank, n) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            s = fq.inv(rows[rank][c])
+            rows[rank] = [fq.mul(s, x) for x in rows[rank]]
+            for i, row in enumerate(rows):
+                if i != rank and row[c]:
+                    m = row[c]
+                    rows[i] = [fq.sub(x, fq.mul(m, y)) for x, y in zip(row, rows[rank])]
+            pivots.append(c)
+        basis = []
+        for f in range(n):
+            if f not in pivots:
+                v = [0] * n
+                v[f] = fq.one
+                for row, c in zip(rows, pivots):
+                    v[c] = fq.neg(row[f])
+                basis.append(tuple(v))
+        orbits = [frobenius_orbit(ctx, v) for v in basis]
+        images = [[action_coeffs(ctx, self.divisors[j].coeffs, o) for o in orbits]
+                  for j in self.quot[idx] if j >= 0]
+        weights = [ctx.q**i for i in range(n)]
+        for alpha in _span(ctx, basis, images):
+            yield sum(map(mul, alpha, weights)), alpha
 
     def order_is(self, coeffs: tuple, r: int) -> bool:
         """ord = (q^n - 1)/r, via one confirmation power and per-prime rejections."""
@@ -169,32 +221,44 @@ class _ScanTables:
         return self.pow_codes[(self.ctx.N - e) % self.ctx.N]
 
 
-def _span(ctx: FieldCtx, basis: list[tuple]):
+def _span(ctx: FieldCtx, basis: list[tuple], images: list[list[tuple]] = ()):
     """sum_j c_j * basis[j] for every coefficient vector c, in code order of c.
 
     An odometer over c with one addition per carry; the per-digit code steps
     are not +1 in F_q once t > 1, so the deltas between consecutive scalar
-    multiples are precomputed.
+    multiples are precomputed.  ``images`` holds, for each of some F_q-linear
+    maps L, the list [L(b) for b in basis]; the odometer then carries every
+    L(alpha) along, one more addition per map per carry, and skips each alpha
+    that some L sends to zero (the zero vector among them).
     """
     q = ctx.q
-    delta = [
-        [ctx._sub(ctx._scale(b, (c + 1) % q), ctx._scale(b, c)) for c in range(q)]
-        for b in basis
-    ]
+
+    def deltas(vectors):
+        return [[ctx._sub(ctx._scale(b, (c + 1) % q), ctx._scale(b, c)) for c in range(q)]
+                for b in vectors]
+
+    delta = deltas(basis)
+    image_delta = [deltas(col) for col in images]
+    zero = (0,) * ctx.n
     digits = [0] * len(basis)
-    alpha = (0,) * ctx.n
-    yield alpha
+    alpha, carried = zero, [zero] * len(images)
+    if zero not in carried:
+        yield alpha
     add = ctx._add
     for _ in range(q ** len(basis) - 1):
         j = 0
         while True:
-            alpha = add(alpha, delta[j][digits[j]])
-            digits[j] += 1
-            if digits[j] < q:
+            c = digits[j]
+            alpha = add(alpha, delta[j][c])
+            if image_delta:
+                carried = [add(v, d[j][c]) for v, d in zip(carried, image_delta)]
+            if c + 1 < q:
+                digits[j] = c + 1
                 break
             digits[j] = 0
             j += 1
-        yield alpha
+        if zero not in carried:
+            yield alpha
 
 
 def scan_tables(ctx: FieldCtx) -> _ScanTables:
@@ -211,19 +275,26 @@ def _ceiling_check(ctx: FieldCtx, ceiling_bits: int) -> None:
 def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
                 factor_hints=None) -> SearchOutcome:
     """First alpha in enumeration order with ord(alpha) = ord(alpha^-1) = (q^n-1)/r
-    and both alpha, alpha^-1 k-normal."""
+    and both alpha, alpha^-1 k-normal.
+
+    ``scanned`` is the number of codes up to the witness, which is its code,
+    or q^n - 1 when there is none."""
     ctx = field_for(q, n, factor_hints=factor_hints)
     _ceiling_check(ctx, ceiling_bits)
     if r < 1 or ctx.N % r:
         raise RNotDivisor(f"r = {r} does not divide q^n - 1")
     preds = _Predicates(ctx)
     t0 = time.perf_counter()
-    hit, scanned = None, 0
-    for code in range(1, ctx.order):
-        scanned += 1
-        coeffs = ctx.from_code(code).coeffs
-        if preds.knorm(coeffs) != k:
-            continue
+    # the k-normal elements are those of F_q-order of degree n - k; the zero
+    # element, of order 1, is not among them
+    streams = [preds.exact_order(idx) for idx, h in enumerate(preds.divisors)
+               if k < ctx.n and h.degree == ctx.n - k]
+    # imported here: loading heapq adds about 0.2 MiB to the peak RSS of
+    # every process that imports knpair, and only this search needs it
+    from heapq import merge
+
+    hit = None
+    for code, coeffs in merge(*streams):
         inv = ctx._inv(coeffs)
         if preds.knorm(inv) != k:
             continue
@@ -232,10 +303,10 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
             break
     elapsed = time.perf_counter() - t0
     if hit is None:
-        return SearchOutcome(False, None, scanned, elapsed)
+        return SearchOutcome(False, None, ctx.N, elapsed)
     witness = ctx.from_code(hit)
     _verify_pair_witness(witness, r, k)
-    return SearchOutcome(True, witness, scanned, elapsed)
+    return SearchOutcome(True, witness, hit, elapsed)
 
 
 def _verify_pair_witness(alpha: FieldElement, r: int, k: int) -> None:

@@ -73,6 +73,35 @@ def test_pow_and_lagrange():
         assert g**-1 == g.inv()
 
 
+@pytest.mark.parametrize("q", [2, 7, 421, 4, 9, 16])
+def test_pow_degree_one_against_polynomial_path(q):
+    # _pow on F_q^1 takes the subfield's scalar power; the reference squares
+    # and multiplies through _mul and _inv, the polynomial multiply-and-reduce
+    ctx = field_for(q, 1)
+
+    def general(a, e):
+        if e < 0:
+            a, e = ctx._inv(a), -e
+        out = (1,)
+        while e:
+            if e & 1:
+                out = ctx._mul(out, a)
+            a = ctx._mul(a, a)
+            e >>= 1
+        return out
+
+    exponents = [0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 1, 12345, -1, -2, -(q - 2), -12345]
+    for c in range(q):
+        for e in exponents:
+            if c == 0 and e < 0:
+                with pytest.raises(DivisionByZero):
+                    ctx._pow((c,), e)
+                with pytest.raises(DivisionByZero):
+                    general((c,), e)
+            else:
+                assert ctx._pow((c,), e) == general((c,), e)
+
+
 def test_division_by_zero(f8):
     with pytest.raises(DivisionByZero):
         f8.one() / f8.zero()

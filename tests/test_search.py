@@ -1,5 +1,6 @@
 import sys
 import threading
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from knpair.modstruct import (
     xn1,
 )
 from knpair.search import (
+    _Predicates,
     census,
     count_N,
     count_from_profile,
@@ -74,10 +76,68 @@ def test_search_pair_first_witness_in_enumeration_order():
 
 def test_search_pair_r2():
     out = search_pair(3, 4, 2, 1)
-    if out.found:
-        a = out.witness
-        assert mult_order(a) == a.ctx.N // 2
-        assert k_normality(a) == 1 and k_normality(a.inv()) == 1
+    assert out.found and out.witness.code() == out.scanned == 9
+    a = out.witness
+    assert mult_order(a) == a.ctx.N // 2
+    assert k_normality(a) == 1 and k_normality(a.inv()) == 1
+
+
+@pytest.mark.parametrize("q,n,code", [(3, 9, 1241), (7, 6, 437)])
+def test_search_pair_r2_k2_found(q, n, code):
+    # census(3, 9, "pair_table", 2) has 18 pairs at k = 2, census(7, 6, ...) 288;
+    # the least one comes from the dlog walk and the order table, which the
+    # kernel streams of search_pair do not use
+    out = search_pair(q, n, 2, 2)
+    assert out.found and out.witness.code() == out.scanned == code
+    ctx = out.witness.ctx
+    tables = scan_tables(ctx)
+
+    def is_pair(c):
+        e = tables.log_codes[c]
+        return (
+            gcd(e, ctx.N) == 2
+            and tables.divisors[tables.ord_idx[c]].degree == n - 2
+            and tables.divisors[tables.ord_idx[tables.inverse_code(c)]].degree == n - 2
+        )
+
+    assert next(c for c in range(1, ctx.order) if is_pair(c)) == code
+
+
+# t > 1 (F_4^3, F_9^2, F_8^2), p | n (F_2^4, F_2^6, F_3^3), n = 1 and n = 2
+SMALL_GRID = [(4, 3), (9, 2), (8, 2), (2, 4), (2, 6), (3, 3), (3, 4), (7, 1), (4, 1), (2, 1), (5, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("q,n", SMALL_GRID)
+def test_search_pair_against_straight_loop(q, n):
+    ctx = field_for(q, n)
+    rows = []
+    for code in range(1, ctx.order):
+        a = ctx.from_code(code)
+        rows.append((code, k_normality(a), k_normality(a.inv()), mult_order(a), mult_order(a.inv())))
+    for r in idivs(ctx.N)[:8]:
+        for k in range(n + 1):
+            want = next((c for c, kb, ki, ob, oi in rows
+                         if kb == ki == k and ob == oi == ctx.N // r), None)
+            out = search_pair(q, n, r, k)
+            got = (out.found, out.witness.code() if out.found else None, out.scanned)
+            assert got == (want is not None, want, ctx.N if want is None else want), (r, k)
+
+
+@pytest.mark.parametrize("q,n", SMALL_GRID)
+def test_exact_order_streams(q, n):
+    ctx = field_for(q, n)
+    want = {}
+    for code in range(ctx.order):
+        want.setdefault(fq_order(ctx.from_code(code)), set()).add(code)
+    preds = _Predicates(ctx)
+    got = {}
+    for idx, h in enumerate(preds.divisors):
+        stream = list(preds.exact_order(idx))
+        codes = [code for code, _ in stream]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(ctx.from_code(code).coeffs == coeffs for code, coeffs in stream)
+        got[h] = set(codes)
+    assert got == want
 
 
 def test_search_pair_bad_r():
