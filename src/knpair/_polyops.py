@@ -120,26 +120,24 @@ def pow_mod(fq, base: list[int], e: int, modulus: list[int]) -> list[int]:
 
 
 def is_irreducible(fq, f: list[int]) -> bool:
-    """Rabin test: x^(q^d) = x mod f and gcd(x^(q^(d/l)) - x, f) = 1 for prime l | d."""
+    """Ben-Or test: gcd(x^(q^i) - x, f) = 1 for every i <= d/2.
+
+    A reducible f has an irreducible factor of some degree i <= d/2, which
+    divides x^(q^i) - x, so the loop stops at the degree of the smallest
+    factor; x^(q^i) comes from x^(q^(i-1)) by one q-th power.  f(0) = 0
+    means x divides f, so no power is taken at all.
+    """
     d = deg(f)
     if d < 1:
         return False
     if d == 1:
         return True
-    q = fq.q
+    if f[0] == 0:
+        return False
     x = [0, fq.one]
-    prime_parts = set()
-    m = d
-    for p in range(2, m + 1):
-        if p * p > m:
-            break
-        while m % p == 0:
-            prime_parts.add(p)
-            m //= p
-    if m > 1:
-        prime_parts.add(m)
-    for ell in prime_parts:
-        h = sub(fq, pow_mod(fq, x, q ** (d // ell), f), x)
-        if deg(gcd(fq, h, f)) != 0:
+    h = x
+    for _ in range(d // 2):
+        h = pow_mod(fq, h, fq.q, f)
+        if deg(gcd(fq, sub(fq, h, x), f)) != 0:
             return False
-    return sub(fq, pow_mod(fq, x, q**d, f), x) == []
+    return True

@@ -465,22 +465,17 @@ class FieldElement:
 
 # -- construction -------------------------------------------------------------
 
+# (p, t, n) -> the context on the default moduli; (p, t, n, base, ext) -> the
+# context on those moduli.  A default context is under both keys.
 _CTX_CACHE: dict[tuple, FieldCtx] = {}
+_CTX_LOCK = threading.Lock()
 
 
-def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, factor_hints=None) -> FieldCtx:
-    """Build (or fetch) the tower context for F_p < F_{p^t} < F_{(p^t)^n}.
-
-    Without overrides each modulus is the lexicographically least monic
-    irreducible of its degree.  Overrides are re-verified.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if t < 1 or n < 1:
-        raise ValueError("t and n must be positive")
+def _moduli(p: int, t: int, n: int, base_modulus, ext_modulus) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(base, ext): each override verified, each missing modulus searched."""
+    fp = Fq(p, 1, (0, 1))
     if base_modulus is not None:
         base_modulus = tuple(base_modulus)
-        fp = Fq(p, 1, (0, 1))
         if len(base_modulus) != t + 1 or base_modulus[-1] != 1:
             raise ReducibleModulus("base modulus must be monic of degree t")
         if any(not 0 <= c < p for c in base_modulus):
@@ -488,7 +483,7 @@ def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, fact
         if not _polyops.is_irreducible(fp, list(base_modulus)):
             raise ReducibleModulus("base modulus is reducible over F_p")
     else:
-        base_modulus = _least_irreducible(Fq(p, 1, (0, 1)), t)
+        base_modulus = _least_irreducible(fp, t)
     fq = Fq(p, t, base_modulus)
     if ext_modulus is not None:
         ext_modulus = tuple(ext_modulus)
@@ -500,12 +495,33 @@ def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, fact
             raise ReducibleModulus("extension modulus is reducible over F_q")
     else:
         ext_modulus = _least_irreducible(fq, n)
-    key = (p, t, n, base_modulus, ext_modulus)
+    return base_modulus, ext_modulus
+
+
+def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, factor_hints=None) -> FieldCtx:
+    """Build (or fetch) the tower context for F_p < F_{p^t} < F_{(p^t)^n}.
+
+    Without overrides each modulus is the lexicographically least monic
+    irreducible of its degree, searched once per (p, t, n).  Overrides are
+    re-verified on every call.  Every call that ends on the same moduli
+    returns the same context; racing first calls build it once, under a
+    lock re-checked inside.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if t < 1 or n < 1:
+        raise ValueError("t and n must be positive")
+    default = base_modulus is None and ext_modulus is None
+    key = (p, t, n) if default else (p, t, n) + _moduli(p, t, n, base_modulus, ext_modulus)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(p, t, n, base_modulus, ext_modulus, factor_hints=factor_hints)
-        _CTX_CACHE[key] = ctx
-    elif factor_hints:
+        with _CTX_LOCK:
+            ctx = _CTX_CACHE.get(key)
+            if ctx is None:
+                full = key + _moduli(p, t, n, None, None) if default else key
+                ctx = _CTX_CACHE.get(full) or FieldCtx(*full)
+                _CTX_CACHE[full] = _CTX_CACHE[key] = ctx
+    if factor_hints:
         ctx.factor_hints = factor_hints
     return ctx
 
@@ -623,7 +639,7 @@ def parse_field_spec(spec: str, factor_hints=None) -> FieldCtx:
     ext = None
     for extra in parts[2:]:
         if extra.startswith("mod="):
-            fq = Fq(p, t, _least_irreducible(Fq(p, 1, (0, 1)), t) if t > 1 else (0, 1))
+            fq = make_field(p, t, 1).fq
             ext = tuple(_parse_fq_literal(fq, tok) for tok in extra[4:].split(","))
         else:
             raise ValueError(f"unknown field spec extra {extra!r}")

@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from knpair import ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
 
 
@@ -47,6 +48,19 @@ def test_bound_exit_codes():
     assert rep["result"]["verdict"]["lhs"] == 256
     code, rep = run_cli("bound", "--q", "7", "--n", "14", "--r", "1", "--k", "1")
     assert code == 0 and rep["result"]["holds"]
+
+
+def test_bound_searches_moduli_once(monkeypatch):
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    searched = []
+    real = ffield._least_irreducible
+    monkeypatch.setattr(ffield, "_least_irreducible", lambda fq, d: searched.append((fq.q, d)) or real(fq, d))
+    code, rep = run_cli("bound", "--q", "16", "--n", "8")
+    assert code in (0, 3) and "holds" in rep["result"]
+    assert searched == [(2, 4), (16, 8)]  # base modulus, then extension modulus
+    searched.clear()
+    assert run_cli("bound", "--q", "16", "--n", "8", "--k", "2")[0] in (0, 3)
+    assert searched == []  # a later question on the field searches nothing
 
 
 def test_sieve_command():

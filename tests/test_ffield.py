@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from knpair import _polyops, ffield
 from knpair.errors import (
     CtxMismatch,
     DivisionByZero,
@@ -31,6 +32,81 @@ from knpair.intarith import euler_phi
 def test_canonical_moduli_f8(f8):
     assert f8.ext_modulus == (1, 1, 0, 1)  # x^3 + x + 1
     assert f8.order == 8
+
+
+@pytest.mark.parametrize("p,t,n,base,ext", [
+    (2, 4, 8, (1, 1, 0, 0, 1), (2, 1, 0, 1, 0, 0, 0, 0, 1)),
+    (2, 6, 6, (1, 1, 0, 0, 0, 0, 1), (32, 1, 1, 0, 0, 0, 1)),
+    (2, 4, 12, (1, 1, 0, 0, 1), (4, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (2, 1, 12, (0, 1), (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (3, 1, 9, (0, 1), (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
+    (5, 1, 10, (0, 1), (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (7, 1, 14, (0, 1), (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (167, 1, 6, (0, 1), (12, 1, 0, 0, 0, 0, 1)),
+    (3, 2, 6, (1, 0, 1), (4, 0, 1, 0, 0, 0, 1)),
+    (2, 2, 14, (1, 1, 1), (1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_default_moduli_pinned(p, t, n, base, ext):
+    # the least monic irreducibles; witnesses and codes in every report
+    # depend on them, so a change of search order or test must not move them
+    ctx = make_field(p, t, n)
+    assert (ctx.base_modulus, ctx.ext_modulus) == (base, ext)
+
+
+def test_default_context_found_before_any_search(monkeypatch):
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    calls = []
+    real = _polyops.is_irreducible
+    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f: calls.append(f) or real(fq, f))
+    ctx = field_for(16, 4)
+    assert calls
+    calls.clear()
+    assert field_for(16, 4) is ctx
+    assert make_field(2, 4, 4) is ctx
+    assert not calls
+    # moduli equal to the defaults are verified, then give the same context
+    assert make_field(2, 4, 4, ext_modulus=ctx.ext_modulus) is ctx
+    assert make_field(2, 4, 4, base_modulus=ctx.base_modulus, ext_modulus=ctx.ext_modulus) is ctx
+    assert make_field(2, 4, 4, base_modulus=ctx.base_modulus) is ctx
+    assert calls
+    with pytest.raises(ReducibleModulus):
+        make_field(2, 4, 4, ext_modulus=(1, 0, 0, 0, 1))  # x^4 + 1 = (x + 1)^4
+    with pytest.raises(ReducibleModulus):
+        make_field(2, 4, 4, base_modulus=(1, 0, 0, 0, 1))
+    # and the other way round: a default call after an equal override
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    first = make_field(2, 4, 4, base_modulus=ctx.base_modulus, ext_modulus=ctx.ext_modulus)
+    assert first is not ctx
+    assert field_for(16, 4) is first
+
+
+def test_make_field_concurrent_first_calls(monkeypatch):
+    # racing first calls for one (p, t, n), with and without moduli equal to
+    # the defaults, must all get one context
+    want = make_field(2, 6, 2)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+            start = threading.Barrier(8)
+            got = []
+
+            def work(override):
+                start.wait(timeout=10)
+                got.append(make_field(2, 6, 2, ext_modulus=want.ext_modulus if override else None))
+
+            threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            assert len(got) == 8
+            assert all(ctx is got[0] for ctx in got)
+            assert got[0] == want
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_cardinalities():
@@ -280,6 +356,10 @@ def test_parse_field_spec():
     # explicit extension modulus override: x^3 + x^2 + 1 over F_2
     ctx_m = parse_field_spec("2^1:3:mod=1,0,1,1")
     assert ctx_m.ext_modulus == (1, 0, 1, 1)
+    # over F_4 the literals are read in the default base field
+    ctx4 = make_field(2, 2, 3)
+    spec = "2^2:3:mod=" + ",".join("-".join(map(str, ctx4.fq.code_to_vec(c))) for c in ctx4.ext_modulus)
+    assert parse_field_spec(spec) is ctx4
 
 
 def test_enumeration_order_is_odometer(f8):
