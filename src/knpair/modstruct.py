@@ -45,6 +45,7 @@ class DivisorLattice:
     (0 <= a_j <= e_j).  ``divisors`` lists them in (degree, coeffs) order and
     ``div_index`` inverts that list.  For each divisor h, by index:
 
+    - ``vecs[h]`` is its exponent vector a;
     - ``quot[h][j]`` is the index of h / f_j, or -1 when f_j does not divide h;
     - ``phi_q[h]`` and ``mu_prime[h]`` are Phi_q(h) and mu'(h);
     - ``sub_divisors[h]`` lists the indices of the divisors of h in
@@ -79,6 +80,7 @@ class DivisorLattice:
         for idx, i in enumerate(order):
             index_at[i] = idx
         self.divisors = [polys[i] for i in order]
+        self.vecs = [vecs[i] for i in order]
         self.div_index = {h: idx for idx, h in enumerate(self.divisors)}
         self.top = index_at[count - 1]
         q = ctx.q

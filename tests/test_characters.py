@@ -1,5 +1,7 @@
 import sys
 import threading
+from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 
@@ -18,7 +20,7 @@ from knpair.characters import (
     upsilon_g,
 )
 from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
-from knpair.ffield import field_for, make_field
+from knpair.ffield import field_for, find_primitive, make_field
 from knpair.fqpoly import PolyQ, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
 from knpair.modstruct import (
@@ -64,12 +66,11 @@ def test_char_sums_vanish_f16():
 def test_orthogonality_sum_over_characters():
     # sum over all characters at a fixed nontrivial element vanishes
     ctx = make_field(3, 1, 2)
-    tab = char_tables(ctx)
     for code in range(2, ctx.order):
         a = ctx.from_code(code)
         if a == ctx.one():
             continue
-        total = sum(tab.roots[(tab.log_codes[code] * j) % ctx.N] for j in range(ctx.N))
+        total = sum(char_eval(mult_char(ctx, ctx.N, j), a) for j in range(ctx.N))
         assert abs(total) < 1e-9
         total_add = sum(char_eval(add_char(ctx.from_code(y)), a) for y in range(ctx.order))
         assert abs(total_add) < 1e-9
@@ -97,19 +98,51 @@ def test_add_char_fq_order_counts(f8):
     assert sum(counts.values()) == 8
 
 
-def test_add_char_order_definition_exhaustive_f8(f8):
+def _add_orders_by_definition(ctx) -> list:
+    """Ord(psi_y) for every shift code y: the first divisor h of x^n - 1, in
+    (degree, coeffs) order, with psi_y(h o b) = 1 for every b."""
+    divs = sorted(divisors_of(xn1(ctx)), key=lambda h: h.sort_key())
+    images = [[mod_action(h, ctx.from_code(b)) for b in range(ctx.order)] for h in divs]
+    orders = []
+    for y in range(ctx.order):
+        psi = add_char(ctx.from_code(y))
+        orders.append(next(h for h, imgs in zip(divs, images)
+                           if all(abs(char_eval(psi, img) - 1) < 1e-9 for img in imgs)))
+    return orders
+
+
+# t > 1 (F_4^3, F_9^2) and p | n (F_3^3, F_2^6) as well as F_8
+@pytest.mark.parametrize("q,n", [(2, 3), (4, 3), (9, 2), (3, 3), (2, 6)])
+def test_add_char_order_definition_exhaustive(q, n):
     # the reported order really is the least monic divisor making psi o h trivial
-    divs = sorted(divisors_of(xn1(f8)), key=lambda h: h.sort_key())
-    for y in range(8):
-        psi = add_char(f8.from_code(y))
-        reported = add_char_fq_order(f8.from_code(y))
-        for h in divs:
-            trivial = all(
-                abs(char_eval(psi, mod_action(h, f8.from_code(b))) - 1) < 1e-9 for b in range(8)
-            )
-            if trivial:
-                assert h == reported
-                break
+    ctx = field_for(q, n)
+    want = _add_orders_by_definition(ctx)
+    assert [add_char_fq_order(ctx.from_code(y)) for y in range(ctx.order)] == want
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (3, 3), (5, 2), (7, 1)])
+def test_slot_sums_closed_forms(q, n):
+    """The closed-form slot sums against literal sums of char_eval, on every
+    (m | q^n - 1, L) and every (h, a); the characters are grouped by order
+    from the definitions, not from the character tables."""
+    ctx = field_for(q, n)
+    tab = char_tables(ctx)
+    g = find_primitive(ctx)
+    power = ctx.one()
+    for L in range(ctx.N):  # power = g^L
+        for m in idivs(ctx.N):
+            literal = sum(char_eval(mult_char(ctx, m, j), power) for j in range(m) if int_gcd(j, m) == 1)
+            got = tab.mult_char_sum(m, L)
+            assert type(got) is int and abs(literal - got) < 1e-9, (m, L)
+        power = power * g
+    orders = _add_orders_by_definition(ctx)
+    for h in sorted(set(orders), key=lambda h: h.sort_key()):
+        ys = [ctx.from_code(y) for y in range(ctx.order) if orders[y] == h]
+        for code in range(ctx.order):
+            a = ctx.from_code(code)
+            literal = sum(char_eval(add_char(y), a) for y in ys)
+            got = tab.add_char_sum(tab.div_index[h], code)
+            assert type(got) is int and abs(literal - got) < 1e-9, (h, code)
 
 
 def test_field_too_large_for_charfun():
@@ -135,39 +168,34 @@ def test_charfun_dispatcher(f8):
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (4, 2)])
 def test_charfun_equivalence_small(q, n):
-    """rho_e / upsilon_g / psi_set / gamma_rd / q_gH against direct indicators."""
+    """rho_e / upsilon_g / psi_set / gamma_rd / q_gH against direct indicators,
+    exactly: every value is an int or a Fraction equal to 0 or 1."""
     ctx = field_for(q, n)
     poly = xn1(ctx)
     els = [ctx.from_code(c) for c in range(ctx.order)]
     nz = els[1:]
+
+    def check(v, ind):
+        assert isinstance(v, (int, Fraction)) and v == ind
+
     for e in idivs(ctx.N):
         for a in nz:
-            v = rho_e(a, e)
-            ind = 1 if is_e_free(a, e) else 0
-            assert abs(v - ind) < 1e-6 and round(v.real) == ind
+            check(rho_e(a, e), 1 if is_e_free(a, e) else 0)
     for g in divisors_of(poly):
         cog = poly // g
         for a in els:
-            v = upsilon_g(a, g)
-            ind = 1 if is_h_free(a, g) else 0
-            assert abs(v - ind) < 1e-6 and round(v.real) == ind
-            v2 = psi_set(a, g)
-            ind2 = 1 if mod_action(cog, a).is_zero() else 0
-            assert abs(v2 - ind2) < 1e-6 and round(v2.real) == ind2
+            check(upsilon_g(a, g), 1 if is_h_free(a, g) else 0)
+            check(psi_set(a, g), 1 if mod_action(cog, a).is_zero() else 0)
     for r in idivs(ctx.N):
         rd = decompose_r(r, ctx)
         for d in idivs(rd.R):
             for a in nz:
-                v = gamma_rd(a, rd, d)
-                ind = 1 if in_Qrd(a, rd, d) else 0
-                assert abs(v - ind) < 1e-6 and round(v.real) == ind
+                check(gamma_rd(a, rd, d), 1 if in_Qrd(a, rd, d) else 0)
     for g in divisors_of(poly):
         gd = decompose_g(g, ctx)
         for H in divisors_of(gd.G):
             for a in nz:
-                v = q_gH(a, gd, H)
-                ind = 1 if in_TgkH(a, gd, H) else 0
-                assert abs(v - ind) < 1e-6 and round(v.real) == ind
+                check(q_gH(a, gd, H), 1 if in_TgkH(a, gd, H) else 0)
 
 
 def test_charfun_divisor_errors_and_monic_form():
@@ -202,15 +230,19 @@ def test_charfun_divisor_errors_and_monic_form():
             assert q_gH(el, gd, PolyQ(fq, (1, 2))) == q_gH(el, gd, x_plus_2)
 
 
+def test_gamma_rd_other_field_rejected():
+    # a decomposition of r in another q^n - 1 would index divisors it lacks
+    rd = decompose_r(7, make_field(2, 1, 3))
+    with pytest.raises(CtxMismatch):
+        gamma_rd(make_field(2, 1, 4).from_code(3), rd, 1)
+
+
 def test_char_tables_concurrent_first_calls():
-    # racing first calls on fresh tables must build the order table once,
-    # and every caller must see the shifts of each order
+    # racing first calls on fresh tables must all get the one order table
     import knpair.characters as characters
 
     ctx = make_field(2, 1, 6)
-    ref = char_tables(ctx)
-    want_table = ref.add_order_table()
-    want_ys = [ref.ys_of_order(i) for i in range(len(ref.divisors))]
+    want_table = char_tables(ctx).add_order_table()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -221,8 +253,7 @@ def test_char_tables_concurrent_first_calls():
 
             def work():
                 start.wait(timeout=10)
-                ys = [tab.ys_of_order(i) for i in range(len(tab.divisors))]
-                got.append((tab.add_order_table(), ys))
+                got.append(tab.add_order_table())
 
             threads = [threading.Thread(target=work) for _ in range(8)]
             for th in threads:
@@ -230,7 +261,7 @@ def test_char_tables_concurrent_first_calls():
             for th in threads:
                 th.join(timeout=10)
                 assert not th.is_alive()
-            assert got == [(want_table, want_ys)] * 8
-            assert all(table is got[0][0] for table, _ in got)
+            assert got == [want_table] * 8
+            assert all(table is got[0] for table in got)
     finally:
         sys.setswitchinterval(old)
