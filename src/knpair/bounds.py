@@ -17,8 +17,8 @@ from mpmath import mp, mpf, log
 
 from .errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from .ffield import FieldCtx, field_for
-from .fqpoly import PolyQ, degree_k_divisors, factor_poly
-from .intarith import c_nu, factor_int, is_prime
+from .fqpoly import PolyQ, degree_k_divisors, factor_poly, w_poly
+from .intarith import c_nu, factor_int, is_prime, rad_int
 from .modstruct import decompose_g, decompose_r, xn1, xn1_factorization
 
 LOG_GUARD_BITS = 80  # margin (in bits) required before a log-space "holds"
@@ -33,9 +33,6 @@ class BoundVerdict:
     holds: bool
     theta: int
     inputs: tuple[tuple[str, object], ...]
-
-    def inputs_dict(self) -> dict:
-        return dict(self.inputs)
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,11 @@ def basic_inequality(q: int, n: int, r: int, k: int, g: PolyQ | None = None,
     gd = decompose_g(g, ctx)
     fact_x = xn1_factorization(ctx)
     w_x = fact_x.W()
-    w_R = _w_int_cofactor(ctx.fact_qn_minus_1, rad_of(r))
+    w_R = _w_int_cofactor(ctx.fact_qn_minus_1, rad_int(r))
     w_G = 1 << sum(1 for f in fact_x.irreducibles if not f.divides(g))
     theta = theta_for(q, n, k, theta_mult)
     if form == "eq10_simplified":
-        rhs = Fraction(2 * r * rad_of(r) * w_x * w_R * w_G)
+        rhs = Fraction(2 * r * rad_int(r) * w_x * w_R * w_G)
         shift = theta
     elif form == "eq9_exact":
         lam_prod = 1
@@ -131,10 +128,6 @@ def basic_inequality(q: int, n: int, r: int, k: int, g: PolyQ | None = None,
     holds = _half_power_gt(q, twice, rhs)
     inputs = (("q", q), ("n", n), ("r", r), ("k", k), ("g", g), ("form", form))
     return BoundVerdict(_half_power_value(q, twice), rhs, holds, theta, inputs)
-
-
-def rad_of(m: int) -> int:
-    return factor_int(m).radical()
 
 
 def w_xn1_bound(q: int, n: int, which: str) -> float:
@@ -165,7 +158,7 @@ def asymptotic_threshold(q: int, n: int, r: int, k: int, nu: float, w_form: str 
     theta = theta_for(q, n, k, theta_mult)
     inputs = (("q", q), ("n", n), ("r", r), ("k", k), ("nu", nu), ("w_form", w_form), ("c_q", c_q))
     C = c_nu(nu)
-    rr = r * rad_of(r)
+    rr = r * rad_int(r)
     with mp.workprec(200):
         guard = mpf(2) ** -LOG_GUARD_BITS
         ln_q, ln_2 = log(mpf(q)), log(mpf(2))
@@ -247,15 +240,11 @@ def sieve_terms(q: int, n: int, r: int, k: int, h: PolyQ, d: int, H: PolyQ,
         verdict = BoundVerdict(_half_power_value(q, n - 2 * theta), None, False, theta, inputs)
         return SieveReport(h, d, H, l1, l2, l3, D, None, verdict)
     S = Fraction(len(l1) + len(l2) + len(l3) - 1) / D + 2
-    rhs = Fraction(2 * r * rad_of(r)) * _w_poly(h) * factor_int(d).W() * _w_poly(H) * S
+    rhs = Fraction(2 * r * rad_int(r)) * w_poly(h) * factor_int(d).W() * w_poly(H) * S
     twice = n - 2 * theta
     holds = _half_power_gt(q, twice, rhs)
     verdict = BoundVerdict(_half_power_value(q, twice), rhs, holds, theta, inputs)
     return SieveReport(h, d, H, l1, l2, l3, D, S, verdict)
-
-
-def _w_poly(f: PolyQ) -> int:
-    return 1 if f.degree < 1 else factor_poly(f).W()
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ all-match, 3 = does-not-hold / not-found / mismatch, 2 = usage error,
 4 = computational error (the payload carries the stable error code).
 
 Hints file: one entry per line, ``N p1^e1 p2^e2 ...`` (the ``^1`` may be
-omitted; ``#`` starts a comment).  Hints are verified before use; a wrong
-hint is an error, never silently ignored.
+omitted; ``#`` starts a comment).  Hints last for one invocation and serve
+every factorization it makes; they are verified before use, a wrong hint
+is an error, never silently ignored, and ``hints_applied`` counts the hints
+used.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .ffield import (
     parse_field_spec,
 )
 from .fqpoly import PolyQ, factor_poly, format_poly, parse_poly
-from .intarith import factor_int
+from .intarith import factor_hints, factor_int
 from .modstruct import fq_order, k_normality, xn1
 
 SCHEMA_VERSION = 1
@@ -126,9 +128,8 @@ def _plain(value):
     return value
 
 
-def _provenance(ctx=None, hints=None) -> dict:
-    prov = {"tool": "knpair", "version": __version__, "schema": SCHEMA_VERSION,
-            "hints_applied": len(hints) if hints else 0}
+def _provenance(ctx=None) -> dict:
+    prov = {"tool": "knpair", "version": __version__, "schema": SCHEMA_VERSION}
     if ctx is not None:
         prov["field"] = {
             "p": ctx.p,
@@ -140,12 +141,12 @@ def _provenance(ctx=None, hints=None) -> dict:
     return prov
 
 
-def make_report(command: str, inputs: dict, result, t0: float, ctx=None, hints=None) -> dict:
+def make_report(command: str, inputs: dict, result, t0: float, ctx=None) -> dict:
     return {
         "command": command,
         "inputs": _plain(inputs),
         "result": _plain(result),
-        "provenance": _provenance(ctx, hints),
+        "provenance": _provenance(ctx),
         "timing": {"seconds": round(time.perf_counter() - t0, 6)},
     }
 
@@ -198,8 +199,8 @@ def verify_report(report: dict) -> bool:
 
 # -- reproduce targets -------------------------------------------------------------
 
-def _pair_row(q: int, n: int, r: int, k: int, expected: bool, ceiling: int, hints) -> dict:
-    out = search.search_pair(q, n, r, k, ceiling_bits=ceiling, factor_hints=hints)
+def _pair_row(q: int, n: int, r: int, k: int, expected: bool, ceiling: int) -> dict:
+    out = search.search_pair(q, n, r, k, ceiling_bits=ceiling)
     ctx = field_for(q, n)
     return {
         "q": q,
@@ -215,20 +216,20 @@ def _pair_row(q: int, n: int, r: int, k: int, expected: bool, ceiling: int, hint
     }
 
 
-def run_reproduce(target: str, ceiling: int, hints) -> dict:
+def run_reproduce(target: str, ceiling: int) -> dict:
     rows: list[dict] = []
     if target == "spnbt-exceptions":
         for q, n in SPNBT_EXCEPTIONS:
-            rows.append(_pair_row(q, n, 1, 0, False, ceiling, hints))
+            rows.append(_pair_row(q, n, 1, 0, False, ceiling))
         for q, n in SPNBT_CONTROLS:
-            rows.append(_pair_row(q, n, 1, 0, True, ceiling, hints))
+            rows.append(_pair_row(q, n, 1, 0, True, ceiling))
     elif target == "t13-exception":
-        rows.append(_pair_row(4, 5, 1, 1, False, ceiling, hints))
-        out = search.direct_search(4, 5, ceiling_bits=ceiling, factor_hints=hints)
+        rows.append(_pair_row(4, 5, 1, 1, False, ceiling))
+        out = search.direct_search(4, 5, ceiling_bits=ceiling)
         rows.append({"q": 4, "n": 5, "algorithm": "direct-search", "expected_found": False,
                      "found": out.found, "match": out.found is False, "witness": "", "scanned": out.scanned})
         for q, n in T13_DIRECT_FOUND:
-            out = search.direct_search(q, n, ceiling_bits=ceiling, factor_hints=hints)
+            out = search.direct_search(q, n, ceiling_bits=ceiling)
             ctx = field_for(q, n)
             rows.append({"q": q, "n": n, "algorithm": "direct-search", "expected_found": True,
                          "found": out.found, "match": out.found is True,
@@ -237,9 +238,9 @@ def run_reproduce(target: str, ceiling: int, hints) -> dict:
                          "field": {"p": ctx.p, "t": ctx.t, "n": ctx.n}})
     elif target == "conjecture-exceptions":
         for q in CONJECTURE_NOT_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, False, ceiling, hints))
+            rows.append(_pair_row(q, 6, 1, 1, False, ceiling))
         for q in CONJECTURE_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, True, ceiling, hints))
+            rows.append(_pair_row(q, 6, 1, 1, True, ceiling))
     elif target == "table3-spot":
         for q, n in TABLE3_FAIL + TABLE3_HOLD:
             verdict = bounds.basic_inequality(q, n, 1, 1, theta_mult=3)
@@ -256,7 +257,7 @@ def run_reproduce(target: str, ceiling: int, hints) -> dict:
                          "pairs_tried": out.pairs_tried})
     elif target == "thm11-spot":
         for q, n, expected in THM11_SPOTS:
-            rows.append(_pair_row(q, n, 2, 2, expected, ceiling, hints))
+            rows.append(_pair_row(q, n, 2, 2, expected, ceiling))
     else:
         raise ValueError(f"unknown reproduce target {target!r}")
     return {"rows": rows, "ok": all(row["match"] for row in rows)}
@@ -268,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="knpair", description=__doc__)
     top.add_argument("--hints", metavar="FILE", help="factorization hints file")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility and ignored; scans run in one thread")
     top.add_argument("--ceiling", type=int, default=search.ENUM_CEILING_BITS_DEFAULT,
                      metavar="BITS", help="enumeration ceiling, log2 of field size")
     sub = top.add_subparsers(dest="command", required=True)
@@ -329,15 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _dispatch(args, hints) -> tuple[dict, int]:
+def _dispatch(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     cmd = args.command
     if cmd == "factor-int":
-        fact = factor_int(args.N, hints=hints)
+        fact = factor_int(args.N)
         result = {"value": fact.value, "factors": [[p, e] for p, e in fact.factors]}
-        return make_report(cmd, {"N": args.N}, result, t0, hints=hints), 0
+        return make_report(cmd, {"N": args.N}, result, t0), 0
     if cmd == "factor-poly":
-        ctx = parse_field_spec(args.field, factor_hints=hints)
+        ctx = parse_field_spec(args.field)
         poly = xn1(ctx) if args.xn1 else parse_poly(ctx.fq, args.poly)
         fact = factor_poly(poly)
         result = {
@@ -345,19 +344,19 @@ def _dispatch(args, hints) -> tuple[dict, int]:
             "unit": fact.unit,
             "factors": [[format_poly(f), e] for f, e in fact.factors],
         }
-        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx, hints=hints), 0
+        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx), 0
     if cmd == "order":
-        ctx = parse_field_spec(args.field, factor_hints=hints)
+        ctx = parse_field_spec(args.field)
         a = parse_element(ctx, args.elem)
         result = {"order": mult_order(a)}
-        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx, hints=hints), 0
+        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx), 0
     if cmd == "fq-order":
-        ctx = parse_field_spec(args.field, factor_hints=hints)
+        ctx = parse_field_spec(args.field)
         a = parse_element(ctx, args.elem)
         result = {"fq_order": format_poly(fq_order(a))}
-        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx, hints=hints), 0
+        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx), 0
     if cmd == "knormal":
-        ctx = parse_field_spec(args.field, factor_hints=hints)
+        ctx = parse_field_spec(args.field)
         if (args.elem is None) == (args.census is None):
             raise ValueError("knormal needs exactly one of --elem / --census")
         if args.elem is not None:
@@ -365,43 +364,42 @@ def _dispatch(args, hints) -> tuple[dict, int]:
             result = {"k": k_normality(a)}
         else:
             result = {"k": args.census,
-                      "count": search.census(ctx.q, ctx.n, "knormal", args.census, factor_hints=hints)}
-        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx, hints=hints), 0
+                      "count": search.census(ctx.q, ctx.n, "knormal", args.census)}
+        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx), 0
     if cmd == "bound":
         form = "eq9_exact" if args.form == "eq9" else "eq10_simplified"
         theta_mult = None if args.theta == "auto" else int(args.theta)
         verdict = bounds.basic_inequality(args.q, args.n, args.r, args.k, form=form, theta_mult=theta_mult)
         code = 0 if verdict.holds else 3
         return make_report(cmd, {"q": args.q, "n": args.n, "r": args.r, "k": args.k, "form": args.form},
-                           {"verdict": verdict, "holds": verdict.holds}, t0, hints=hints), code
+                           {"verdict": verdict, "holds": verdict.holds}, t0), code
     if cmd == "sieve":
         out = bounds.test_sieve(args.q, args.n, args.theta)
         result = {"holds": out.found, "pairs_tried": out.pairs_tried, "report": out.report}
         code = 0 if out.found else 3
-        return make_report(cmd, {"q": args.q, "n": args.n, "theta": args.theta}, result, t0, hints=hints), code
+        return make_report(cmd, {"q": args.q, "n": args.n, "theta": args.theta}, result, t0), code
     if cmd == "lemma54":
         d = parse_d_expr(args.d_expr, args.q, args.n)
         rep = bounds.lemma54_eval(args.q, args.n, d, args.n0, args.theta)
         result = {"holds": rep.verdict.holds, "report": rep, "d": d}
         code = 0 if rep.verdict.holds else 3
         return make_report(cmd, {"q": args.q, "n": args.n, "d_expr": args.d_expr, "n0": args.n0,
-                                 "theta": args.theta}, result, t0, hints=hints), code
+                                 "theta": args.theta}, result, t0), code
     if cmd == "direct-search":
-        out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling, factor_hints=hints)
+        out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling)
         ctx = field_for(args.q, args.n)
         code = 0 if out.found else 3
-        return make_report(cmd, {"q": args.q, "n": args.n}, out, t0, ctx=ctx, hints=hints), code
+        return make_report(cmd, {"q": args.q, "n": args.n}, out, t0, ctx=ctx), code
     if cmd == "search-pair":
-        out = search.search_pair(args.q, args.n, args.r, args.k, ceiling_bits=args.ceiling,
-                                 factor_hints=hints)
+        out = search.search_pair(args.q, args.n, args.r, args.k, ceiling_bits=args.ceiling)
         ctx = field_for(args.q, args.n)
         code = 0 if out.found else 3
         return make_report(cmd, {"q": args.q, "n": args.n, "r": args.r, "k": args.k}, out, t0,
-                           ctx=ctx, hints=hints), code
+                           ctx=ctx), code
     if cmd == "reproduce":
-        result = run_reproduce(args.target, args.ceiling, hints)
+        result = run_reproduce(args.target, args.ceiling)
         code = 0 if result["ok"] else 3
-        return make_report(cmd, {"target": args.target}, result, t0, hints=hints), code
+        return make_report(cmd, {"target": args.target}, result, t0), code
     raise ValueError(f"unknown command {cmd!r}")
 
 
@@ -412,14 +410,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        hints = load_hints(args.hints) if args.hints else None
-        report, code = _dispatch(args, hints)
+        with factor_hints(load_hints(args.hints) if args.hints else {}) as used:
+            report, code = _dispatch(args)
     except KnpairError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True), file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["provenance"]["hints_applied"] = len(used)
     emit(report, args.format)
     return code
 

@@ -185,19 +185,16 @@ def _least_irreducible(fq, degree: int) -> tuple[int, ...]:
 class FieldCtx:
     """Ambient context for the tower F_p < F_q < F_{q^n}."""
 
-    def __init__(self, p: int, t: int, n: int, base_modulus: tuple[int, ...], ext_modulus: tuple[int, ...], factor_hints=None):
-        self.p, self.t, self.n = p, t, n
-        self.q = p**t
+    def __init__(self, fq: Fq, n: int, ext_modulus: tuple[int, ...]):
+        self.p, self.t, self.n = fq.p, fq.t, n
+        self.q = fq.q
         self.order = self.q**n
         self.N = self.order - 1
-        self.base_modulus = base_modulus
+        self.base_modulus = fq.modulus
         self.ext_modulus = ext_modulus
-        self.fq = Fq(p, t, base_modulus)
-        self.factor_hints = factor_hints
+        self.fq = fq
         self._memo: dict = {}
         self._memo_lock = threading.RLock()
-        self._frob_images: list[list[list[int]]] = []  # per power i: basis images
-        self._frob_lock = threading.Lock()
 
     # -- context identity ---------------------------------------------------
     def _key(self):
@@ -313,28 +310,14 @@ class FieldCtx:
         return out
 
     # -- Frobenius x -> x^q as an F_q-linear map ------------------------------
-    def _frob_basis(self, i: int) -> list[list[int]]:
-        """Images of the power basis under x -> x^(q^i), as coefficient lists."""
-        if i < len(self._frob_images):
-            return self._frob_images[i]
-        # entries are only appended, each one complete, so the check above
-        # needs no lock; building takes it, or concurrent first calls would
-        # append the same power twice and shift every later one
-        with self._frob_lock:
-            while len(self._frob_images) <= i:
-                if not self._frob_images:
-                    images = []
-                    for j in range(self.n):
-                        xj = [0] * j + [self.fq.one]
-                        img = _polyops.pow_mod(self.fq, xj, self.q, list(self.ext_modulus))
-                        images.append(img + [0] * (self.n - len(img)))
-                    self._frob_images.append(images)  # power 1
-                else:
-                    prev = self._frob_images[-1]
-                    one_step = self._frob_images[0]
-                    images = [self._apply_linear(one_step, tuple(v)) for v in prev]
-                    self._frob_images.append([list(v) for v in images])
-        return self._frob_images[i]
+    def _build_frob_basis(self) -> list[list[int]]:
+        """Images of the power basis under x -> x^q, as coefficient lists."""
+        images = []
+        for j in range(self.n):
+            xj = [0] * j + [self.fq.one]
+            img = _polyops.pow_mod(self.fq, xj, self.q, list(self.ext_modulus))
+            images.append(img + [0] * (self.n - len(img)))
+        return images
 
     def _apply_linear(self, images: list[list[int]], v: tuple) -> tuple:
         add, mul = self.fq.add, self.fq.mul
@@ -354,10 +337,10 @@ class FieldCtx:
         return tuple(out)
 
     def _frob(self, a: tuple, i: int = 1) -> tuple:
-        i %= self.n
-        if i == 0:
-            return a
-        return self._apply_linear(self._frob_basis(i - 1), a)
+        images = self.memo(FieldCtx._build_frob_basis)
+        for _ in range(i % self.n):
+            a = self._apply_linear(images, a)
+        return a
 
     # -- absolute trace -------------------------------------------------------
     def _trace_table(self) -> list[int]:
@@ -396,7 +379,7 @@ class FieldCtx:
 
 
 def _factor_qn_minus_1(ctx: FieldCtx) -> IntFactorization:
-    return factor_int(ctx.N, hints=ctx.factor_hints)
+    return factor_int(ctx.N)
 
 
 class FieldElement:
@@ -471,8 +454,9 @@ _CTX_CACHE: dict[tuple, FieldCtx] = {}
 _CTX_LOCK = threading.Lock()
 
 
-def _moduli(p: int, t: int, n: int, base_modulus, ext_modulus) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(base, ext): each override verified, each missing modulus searched."""
+def _moduli(p: int, t: int, n: int, base_modulus, ext_modulus) -> tuple[Fq, tuple[int, ...]]:
+    """(F_q on the base modulus, ext): each override verified, each missing
+    modulus searched."""
     fp = Fq(p, 1, (0, 1))
     if base_modulus is not None:
         base_modulus = tuple(base_modulus)
@@ -495,10 +479,10 @@ def _moduli(p: int, t: int, n: int, base_modulus, ext_modulus) -> tuple[tuple[in
             raise ReducibleModulus("extension modulus is reducible over F_q")
     else:
         ext_modulus = _least_irreducible(fq, n)
-    return base_modulus, ext_modulus
+    return fq, ext_modulus
 
 
-def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, factor_hints=None) -> FieldCtx:
+def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None) -> FieldCtx:
     """Build (or fetch) the tower context for F_p < F_{p^t} < F_{(p^t)^n}.
 
     Without overrides each modulus is the lexicographically least monic
@@ -512,17 +496,19 @@ def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None, fact
     if t < 1 or n < 1:
         raise ValueError("t and n must be positive")
     default = base_modulus is None and ext_modulus is None
-    key = (p, t, n) if default else (p, t, n) + _moduli(p, t, n, base_modulus, ext_modulus)
+    if not default:
+        fq, ext = _moduli(p, t, n, base_modulus, ext_modulus)
+    key = (p, t, n) if default else (p, t, n, fq.modulus, ext)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         with _CTX_LOCK:
             ctx = _CTX_CACHE.get(key)
             if ctx is None:
-                full = key + _moduli(p, t, n, None, None) if default else key
-                ctx = _CTX_CACHE.get(full) or FieldCtx(*full)
+                if default:
+                    fq, ext = _moduli(p, t, n, None, None)
+                full = (p, t, n, fq.modulus, ext)
+                ctx = _CTX_CACHE.get(full) or FieldCtx(fq, n, ext)
                 _CTX_CACHE[full] = _CTX_CACHE[key] = ctx
-    if factor_hints:
-        ctx.factor_hints = factor_hints
     return ctx
 
 
@@ -535,9 +521,9 @@ def split_prime_power(q: int) -> tuple[int, int]:
     return f.factors[0]
 
 
-def field_for(q: int, n: int, factor_hints=None) -> FieldCtx:
+def field_for(q: int, n: int) -> FieldCtx:
     p, t = split_prime_power(q)
-    return make_field(p, t, n, factor_hints=factor_hints)
+    return make_field(p, t, n)
 
 
 # -- spec operations ----------------------------------------------------------
@@ -621,7 +607,7 @@ def dlog(a: FieldElement, base: FieldElement, ceiling: int = DLOG_CEILING_DEFAUL
 
 # -- literals -----------------------------------------------------------------
 
-def parse_field_spec(spec: str, factor_hints=None) -> FieldCtx:
+def parse_field_spec(spec: str) -> FieldCtx:
     """Parse "p^t:n" (or "q:n") with an optional ":mod=<ext coeffs>" override.
 
     The mod override lists the n+1 extension-modulus coefficients, constant
@@ -643,7 +629,7 @@ def parse_field_spec(spec: str, factor_hints=None) -> FieldCtx:
             ext = tuple(_parse_fq_literal(fq, tok) for tok in extra[4:].split(","))
         else:
             raise ValueError(f"unknown field spec extra {extra!r}")
-    return make_field(p, t, n, ext_modulus=ext, factor_hints=factor_hints)
+    return make_field(p, t, n, ext_modulus=ext)
 
 
 def _parse_fq_literal(fq: Fq, tok: str) -> int:

@@ -340,10 +340,6 @@ def phi_q(f: PolyQ) -> int:
     return arith_poly(f, "phi_q")
 
 
-def rad_poly(f: PolyQ) -> PolyQ:
-    return arith_poly(f, "rad")
-
-
 def w_poly(f: PolyQ) -> int:
     return arith_poly(f, "W")
 

@@ -3,9 +3,12 @@
 Factorization is fully deterministic: trial division by every prime below
 10^6, then Brent-cycle Pollard rho with a fixed seed schedule, with every
 reported prime certified (Miller-Rabin with the 13-witness deterministic set
-below 3.3e24, BPSW above).  Callers may supply externally computed
-factorizations as hints; hints are verified (primality of every part,
-product check) before being trusted.
+below 3.3e24, BPSW above).  Externally computed factorizations may be
+supplied as hints for the extent of one ``with factor_hints(hints) as used:``
+block: inside it, factor_int takes n's factorization from a hint for n,
+after verifying it (primality of every part, product check), and adds n to
+``used``.  The scope is per thread, so hints reach every factorization
+the block makes, through any number of calls, and nothing outside it.
 
 On top of that sit the multiplicative helpers the existence bounds need:
 rad, Euler phi, Moebius mu, the squarefree-divisor count W(n) = 2^omega(n),
@@ -16,6 +19,8 @@ inequality verdicts derived from it are never optimistic.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,6 +233,24 @@ class IntFactorization:
 
 Hints = dict[int, "list[tuple[int, int]] | tuple[tuple[int, int], ...]"]
 
+# .hints: (hints, used) of this thread's innermost factor_hints block.  Not a
+# ContextVar: importing contextvars loads a shared library, about 0.17 MiB of
+# peak RSS (CPython 3.11, x86-64 Linux) in every process importing knpair.
+_scope = threading.local()
+
+
+@contextmanager
+def factor_hints(hints: Hints):
+    """Serve factor_int from hints inside the block; yields the set of values
+    whose hint was used."""
+    used: set[int] = set()
+    outer = getattr(_scope, "hints", None)
+    _scope.hints = (hints, used)
+    try:
+        yield used
+    finally:
+        _scope.hints = outer
+
 
 @lru_cache(maxsize=None)
 def _factor_cached(n: int, effort: int) -> IntFactorization:
@@ -252,25 +275,29 @@ def _factor_cached(n: int, effort: int) -> IntFactorization:
     return IntFactorization(n, tuple(sorted(factors.items())))
 
 
-def factor_int(n: int, hints: Hints | None = None, effort: int = POLLARD_EFFORT) -> IntFactorization:
+def factor_int(n: int, effort: int = POLLARD_EFFORT) -> IntFactorization:
     """Certified factorization of n >= 1.
 
-    A hint entry for n is verified (each part prime, product equals n) and
-    then used verbatim; a bad hint raises InvalidHint rather than being
-    silently ignored.
+    Inside a factor_hints block, a hint for n is verified (each part prime,
+    product equals n) and then used verbatim; a bad hint raises InvalidHint
+    rather than being silently ignored.
     """
     if n < 1:
         raise ValueError(f"factor_int needs n >= 1, got {n}")
     if n == 1:
         return IntFactorization(1, ())
-    if hints and n in hints:
-        return IntFactorization(n, tuple(tuple(pe) for pe in hints[n]))
+    scope = getattr(_scope, "hints", None)
+    if scope is not None and n in scope[0]:
+        hints, used = scope
+        fact = IntFactorization(n, tuple(tuple(pe) for pe in hints[n]))
+        used.add(n)
+        return fact
     return _factor_cached(n, effort)
 
 
-def arith_int(n: int, which: str, hints: Hints | None = None) -> int:
+def arith_int(n: int, which: str) -> int:
     """rad / phi / moebius / W of n, all off one certified factorization."""
-    f = factor_int(n, hints)
+    f = factor_int(n)
     if which == "rad":
         return f.radical()
     if which == "phi":

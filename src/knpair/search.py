@@ -272,14 +272,13 @@ def _ceiling_check(ctx: FieldCtx, ceiling_bits: int) -> None:
         raise FieldTooLarge(f"|F| = {ctx.order} exceeds the enumeration ceiling 2^{ceiling_bits}")
 
 
-def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
-                factor_hints=None) -> SearchOutcome:
+def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT) -> SearchOutcome:
     """First alpha in enumeration order with ord(alpha) = ord(alpha^-1) = (q^n-1)/r
     and both alpha, alpha^-1 k-normal.
 
     ``scanned`` is the number of codes up to the witness, which is its code,
     or q^n - 1 when there is none."""
-    ctx = field_for(q, n, factor_hints=factor_hints)
+    ctx = field_for(q, n)
     _ceiling_check(ctx, ceiling_bits)
     if r < 1 or ctx.N % r:
         raise RNotDivisor(f"r = {r} does not divide q^n - 1")
@@ -324,15 +323,14 @@ def _verify_pair_witness(alpha: FieldElement, r: int, k: int) -> None:
         raise AssertionError("witness failed independent re-verification")
 
 
-def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT,
-                  factor_hints=None) -> SearchOutcome:
+def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT) -> SearchOutcome:
     """Sweep alpha = beta^q - beta for a primitive 1-normal pair (alpha, alpha^-1).
 
     Accepts the first beta whose alpha is nonzero with
     deg gcd(m_alpha, x^n - 1) = deg gcd(m_{alpha^-1}, x^n - 1) = 1 and
     ord(alpha) = q^n - 1 (the gcd degree is evaluated as 1-normality of the
     element, which is the same quantity)."""
-    ctx = field_for(q, n, factor_hints=factor_hints)
+    ctx = field_for(q, n)
     _ceiling_check(ctx, ceiling_bits)
     preds = _Predicates(ctx)
     t0 = time.perf_counter()
@@ -389,11 +387,10 @@ def _g_action_codes(ctx: FieldCtx, g: PolyQ) -> list[list[int]]:
     return images
 
 
-def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ,
-            factor_hints=None) -> int:
+def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ) -> int:
     """Exact count of beta outside the zero set of (g o .) with beta h-free,
     g o beta in Q_r^d and (g o beta)^-1 in T_{g,k}^H."""
-    ctx = field_for(q, n, factor_hints=factor_hints)
+    ctx = field_for(q, n)
     poly = xn1(ctx)
     g, h, H = g.monic(), h.monic(), H.monic()
     if g.degree != k or not g.divides(poly):
@@ -459,9 +456,9 @@ def count_from_profile(ctx: FieldCtx, g: PolyQ, hist, r: int, h: PolyQ, d: int, 
 
 # -- censuses ---------------------------------------------------------------------
 
-def census(q: int, n: int, what: str, arg: int | None = None, factor_hints=None):
+def census(q: int, n: int, what: str, arg: int | None = None):
     """Exhaustive counts: knormal(k) / rprimitive(r) / fq_order_fibers / pair_table(r)."""
-    ctx = field_for(q, n, factor_hints=factor_hints)
+    ctx = field_for(q, n)
     tables = scan_tables(ctx)
     N = ctx.N
     if what == "knormal":

@@ -1,4 +1,3 @@
-import copy
 import io
 import json
 from contextlib import redirect_stdout
@@ -103,15 +102,6 @@ def test_reproduce_spnbt():
     assert not_found == {(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)}
 
 
-def test_reproduce_jobs_byte_identical():
-    _, rep1 = run_cli("--jobs", "1", "reproduce", "--target", "spnbt-exceptions")
-    _, rep2 = run_cli("--jobs", "3", "reproduce", "--target", "spnbt-exceptions")
-    a, b = copy.deepcopy(rep1), copy.deepcopy(rep2)
-    a.pop("timing")
-    b.pop("timing")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def test_reproduce_witnesses_verify_on_load():
     _, rep = run_cli("reproduce", "--target", "conjecture-exceptions")
     text = json.dumps(rep, sort_keys=True)
@@ -142,6 +132,34 @@ def test_bad_hints_exit_code(tmp_path):
     hp = tmp_path / "bad.txt"
     hp.write_text("15 3 6\n")  # 6 is not prime
     code, _ = run_cli("--hints", str(hp), "factor-int", "15")
+    assert code == 4
+
+
+def test_hints_last_one_invocation(tmp_path, monkeypatch):
+    # a fresh cache, so this process has not factored 2^10 - 1 for the field yet
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    hp = tmp_path / "bad.txt"
+    hp.write_text("1023 3 11 33\n")  # 33 is not prime
+    args = ("order", "--field", "2^1:10", "--elem", "0,1,0,0,0,0,0,0,0,0")
+    assert run_cli("--hints", str(hp), *args)[0] == 4
+    code, rep = run_cli(*args)  # the bad hint must not outlive its invocation
+    assert code == 0 and 1023 % rep["result"]["order"] == 0
+    assert rep["provenance"]["hints_applied"] == 0
+
+
+def test_hints_applied_counts_hints_used(tmp_path):
+    hp = tmp_path / "hints.txt"
+    hp.write_text("268435455 3 5 29 43 113 127\n1023 3 11 31\n")
+    code, rep = run_cli("--hints", str(hp), "factor-int", "1023")
+    assert code == 0 and rep["result"]["factors"] == [[3, 1], [11, 1], [31, 1]]
+    assert rep["provenance"]["hints_applied"] == 1
+
+
+def test_bound_honours_hints(tmp_path, monkeypatch):
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    hp = tmp_path / "bad.txt"
+    hp.write_text("268435455 3 5 29 43 113 129\n")  # 129 = 3 * 43
+    code, _ = run_cli("--hints", str(hp), "bound", "--q", "2", "--n", "28")
     assert code == 4
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from knpair.intarith import (
     c_nu,
     divisors,
     euler_phi,
+    factor_hints,
     factor_int,
     is_prime,
     moebius,
@@ -50,14 +53,27 @@ def test_factor_large_semiprime_cofactor():
 def test_hints_used_verbatim():
     n = 2**28 - 1
     hint = {n: ((3, 1), (5, 1), (29, 1), (43, 1), (113, 1), (127, 1))}
-    assert factor_int(n, hints=hint).factors == hint[n]
+    with factor_hints(hint) as used:
+        assert factor_int(n).factors == hint[n]
+    assert used == {n}
 
 
 def test_bad_hint_rejected():
-    with pytest.raises(InvalidHint):
-        factor_int(15, hints={15: ((3, 1), (6, 1))})  # 6 not prime
-    with pytest.raises(InvalidHint):
-        factor_int(15, hints={15: ((3, 2),)})  # wrong product
+    with factor_hints({15: ((3, 1), (6, 1))}), pytest.raises(InvalidHint):
+        factor_int(15)  # 6 not prime
+    with factor_hints({15: ((3, 2),)}), pytest.raises(InvalidHint):
+        factor_int(15)  # wrong product
+
+
+def test_hint_scope_is_per_thread_and_ends_with_block():
+    bad = {15: ((3, 1), (6, 1))}
+    with factor_hints(bad):
+        got = []
+        th = threading.Thread(target=lambda: got.append(factor_int(15).factors))
+        th.start()
+        th.join(timeout=10)
+        assert got == [((3, 1), (5, 1))]  # another thread does not see the hint
+    assert factor_int(15).factors == ((3, 1), (5, 1))
 
 
 def test_effort_bound_raises():

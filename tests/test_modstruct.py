@@ -296,7 +296,7 @@ def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
     import knpair.fqpoly as fqpoly
 
     base = make_field(2, 1, 6)  # x^6 - 1 = (x + 1)^2 (x^2 + x + 1)^2, 9 divisors
-    ctx = FieldCtx(base.p, base.t, base.n, base.base_modulus, base.ext_modulus)
+    ctx = FieldCtx(base.fq, base.n, base.ext_modulus)
     divs = divisors_of(xn1(base))
     gds = [decompose_g(g, base) for g in divs]
     Hs_of = [divisors_of(gd.G) for gd in gds]

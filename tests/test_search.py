@@ -313,7 +313,7 @@ def test_per_field_state_concurrent_first_calls(monkeypatch):
     try:
         for i, modulus in enumerate(moduli):
             get, want_builds = cases[i % 3]
-            ctx = FieldCtx(2, 1, 8, fq.modulus, modulus)
+            ctx = FieldCtx(fq, 8, modulus)
             start = threading.Barrier(8)
             got = []
             builds.clear()
