@@ -6,10 +6,10 @@ all-match, 3 = does-not-hold / not-found / mismatch, 2 = usage error,
 4 = computational error (the payload carries the stable error code).
 
 Hints file: one entry per line, ``N p1^e1 p2^e2 ...`` (the ``^1`` may be
-omitted; ``#`` starts a comment).  Hints last for one invocation and serve
-every factorization it makes; they are verified before use, a wrong hint
-is an error, never silently ignored, and ``hints_applied`` counts the hints
-used.
+omitted; ``#`` starts a comment).  Every line is verified when the file is
+read, so a wrong hint is an error even if the command never factors its
+value.  Hints last for one invocation and serve every factorization it
+makes, and ``hints_applied`` counts the hints used.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .ffield import (
     parse_field_spec,
 )
 from .fqpoly import PolyQ, factor_poly, format_poly, parse_poly
-from .intarith import factor_hints, factor_int
+from .intarith import IntFactorization, factor_hints, factor_int
 from .modstruct import fq_order, k_normality, xn1
 
 SCHEMA_VERSION = 1
@@ -52,6 +52,7 @@ THM11_SPOTS = ((3, 4, False), (7, 5, False), (5, 4, True), (11, 5, True))
 
 
 def load_hints(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Read a hints file; every line is verified here, used or not."""
     hints: dict[int, tuple[tuple[int, int], ...]] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -67,7 +68,7 @@ def load_hints(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
                     parts.append((int(p_s), int(e_s)))
                 else:
                     parts.append((int(tok), 1))
-            hints[value] = tuple(parts)
+            hints[value] = IntFactorization(value, tuple(parts)).factors
     return hints
 
 
@@ -173,10 +174,12 @@ def emit(report: dict, fmt: str, stream=None) -> None:
 
 
 def verify_report(report: dict) -> bool:
-    """Re-check every witness a parsed report carries against the library."""
+    """Re-check every witness a parsed report carries with search.pair_verified."""
     prov = report.get("provenance", {})
     field = prov.get("field")
     result = report.get("result", {})
+    # a table's rows carry their r and k; a single search keeps them in its inputs
+    inputs = report.get("inputs", {})
     rows = result.get("rows", [result] if result.get("witness") else [])
     for row in rows:
         wit = row.get("witness")
@@ -187,12 +190,8 @@ def verify_report(report: dict) -> bool:
         if ctx is None:
             return False
         alpha = parse_element(ctx, wit)
-        r = int(row.get("r", 1))
-        k = int(row.get("k", 1))
-        inv = alpha.inv()
-        if mult_order(alpha) != ctx.N // r or k_normality(alpha) != k or k_normality(inv) != k:
-            return False
-        if mult_order(inv) != ctx.N // r:
+        r, k = (int(row.get(x, inputs.get(x, 1))) for x in ("r", "k"))
+        if not search.pair_verified(alpha, r, k):
             return False
     return True
 

@@ -449,63 +449,68 @@ class FieldElement:
 # -- construction -------------------------------------------------------------
 
 # (p, t, n) -> the context on the default moduli; (p, t, n, base, ext) -> the
-# context on those moduli.  A default context is under both keys.
+# context on those moduli, ext None for a searched one.  A context is under
+# the key it was asked by and under its full key.
 _CTX_CACHE: dict[tuple, FieldCtx] = {}
 _CTX_LOCK = threading.Lock()
 
 
-def _moduli(p: int, t: int, n: int, base_modulus, ext_modulus) -> tuple[Fq, tuple[int, ...]]:
-    """(F_q on the base modulus, ext): each override verified, each missing
-    modulus searched."""
-    fp = Fq(p, 1, (0, 1))
-    if base_modulus is not None:
-        base_modulus = tuple(base_modulus)
-        if len(base_modulus) != t + 1 or base_modulus[-1] != 1:
-            raise ReducibleModulus("base modulus must be monic of degree t")
-        if any(not 0 <= c < p for c in base_modulus):
-            raise ReducibleModulus("base modulus coefficients out of range")
-        if not _polyops.is_irreducible(fp, list(base_modulus)):
+def _checked_shape(modulus, degree: int, size: int, name: str) -> tuple[int, ...]:
+    modulus = tuple(modulus)
+    if len(modulus) != degree + 1 or modulus[-1] != 1:
+        raise ReducibleModulus(f"{name} modulus must be monic of degree {degree}")
+    if any(not 0 <= c < size for c in modulus):
+        raise ReducibleModulus(f"{name} modulus coefficients out of range")
+    return modulus
+
+
+def _moduli(p: int, t: int, n: int, fq: Fq | None, base, ext) -> tuple[Fq, tuple[int, ...]]:
+    """(F_q, ext): F_q is fq, or built on base (searched when None); ext is
+    tested for irreducibility, or searched when None."""
+    if fq is None:
+        fp = Fq(p, 1, (0, 1))
+        if base is None:
+            base = _least_irreducible(fp, t)
+        elif not _polyops.is_irreducible(fp, list(base)):
             raise ReducibleModulus("base modulus is reducible over F_p")
-    else:
-        base_modulus = _least_irreducible(fp, t)
-    fq = Fq(p, t, base_modulus)
-    if ext_modulus is not None:
-        ext_modulus = tuple(ext_modulus)
-        if len(ext_modulus) != n + 1 or ext_modulus[-1] != fq.one:
-            raise ReducibleModulus("extension modulus must be monic of degree n")
-        if any(not 0 <= c < fq.q for c in ext_modulus):
-            raise ReducibleModulus("extension modulus coefficients out of range")
-        if not _polyops.is_irreducible(fq, list(ext_modulus)):
-            raise ReducibleModulus("extension modulus is reducible over F_q")
-    else:
-        ext_modulus = _least_irreducible(fq, n)
-    return fq, ext_modulus
+        fq = Fq(p, t, base)
+    if ext is None:
+        ext = _least_irreducible(fq, n)
+    elif not _polyops.is_irreducible(fq, list(ext)):
+        raise ReducibleModulus("extension modulus is reducible over F_q")
+    return fq, ext
 
 
 def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None) -> FieldCtx:
     """Build (or fetch) the tower context for F_p < F_{p^t} < F_{(p^t)^n}.
 
     Without overrides each modulus is the lexicographically least monic
-    irreducible of its degree, searched once per (p, t, n).  Overrides are
-    re-verified on every call.  Every call that ends on the same moduli
-    returns the same context; racing first calls build it once, under a
-    lock re-checked inside.
+    irreducible of its degree, searched once per (p, t, n).  An override is
+    checked for shape and range on every call, and for irreducibility only
+    while no context on it is cached; a missing base modulus is the default
+    one, with F_q taken from make_field(p, t, 1).  Every call that ends on the
+    same moduli returns the same context; racing first calls build it once,
+    under a lock re-checked inside.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if t < 1 or n < 1:
         raise ValueError("t and n must be positive")
-    default = base_modulus is None and ext_modulus is None
-    if not default:
-        fq, ext = _moduli(p, t, n, base_modulus, ext_modulus)
-    key = (p, t, n) if default else (p, t, n, fq.modulus, ext)
+    fq = base = ext = None
+    if base_modulus is not None:
+        base = _checked_shape(base_modulus, t, p, "base")
+    elif ext_modulus is not None:
+        fq = make_field(p, t, 1).fq
+        base = fq.modulus
+    if ext_modulus is not None:
+        ext = _checked_shape(ext_modulus, n, p**t, "extension")
+    key = (p, t, n) if base is None else (p, t, n, base, ext)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         with _CTX_LOCK:
             ctx = _CTX_CACHE.get(key)
             if ctx is None:
-                if default:
-                    fq, ext = _moduli(p, t, n, None, None)
+                fq, ext = _moduli(p, t, n, fq, base, ext)
                 full = (p, t, n, fq.modulus, ext)
                 ctx = _CTX_CACHE.get(full) or FieldCtx(fq, n, ext)
                 _CTX_CACHE[full] = _CTX_CACHE[key] = ctx

@@ -3,7 +3,9 @@
 The additive group of F_{q^n} is an F_q[x]-module under
 h o b = sum a_i b^(q^i); every element is annihilated by x^n - 1.  This
 module provides the divisor lattice of x^n - 1, the action itself, the
-minimal annihilating divisor (fq_order), k-normality, the freeness tests,
+matrix of g(sigma) (action_columns) and an echelon basis of ker h(sigma)
+(kernel_basis), the only way the engines obtain either, the minimal
+annihilating divisor (fq_order), k-normality, the freeness tests,
 the multiplicative and module-theoretic decompositions of r and g, and
 membership tests for the element classes the counting machinery
 quantifies over.
@@ -127,8 +129,50 @@ def mod_action(g: PolyQ, b: FieldElement) -> FieldElement:
     ctx = b.ctx
     if g.fq != ctx.fq:
         raise CtxMismatch("polynomial and element live over different F_q")
-    orbit = frobenius_orbit(ctx, b.coeffs)
-    return FieldElement(ctx, action_coeffs(ctx, g.coeffs, orbit))
+    return FieldElement(ctx, action_coeffs(ctx, g.coeffs, frobenius_orbit(ctx, b.coeffs)))
+
+
+def action_columns(ctx: FieldCtx, g_coeffs: tuple) -> list[tuple]:
+    """The matrix of g(sigma) on the power basis: column j is g o x^j."""
+    n = ctx.n
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    return [action_coeffs(ctx, g_coeffs, frobenius_orbit(ctx, e)) for e in units]
+
+
+def kernel_basis(ctx: FieldCtx, h_coeffs: tuple) -> list[tuple]:
+    """Echelon basis of ker h(sigma), deg h vectors when h divides x^n - 1.
+
+    The matrix of h(sigma) goes to reduced echelon form.  Free column f gives
+    the vector that is 1 at f, 0 at every other free column and minus the
+    f-th entries of the pivot rows at their pivots, all of which lie below f.
+    So each vector's top coordinate is its free column, where it is 1, and
+    the tops increase along the list.
+    """
+    fq, n = ctx.fq, ctx.n
+    rows = [list(row) for row in zip(*action_columns(ctx, h_coeffs))]
+    pivots: list[int] = []
+    for c in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        s = fq.inv(rows[rank][c])
+        rows[rank] = [fq.mul(s, x) for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                m = row[c]
+                rows[i] = [fq.sub(x, fq.mul(m, y)) for x, y in zip(row, rows[rank])]
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = fq.one
+            for row, c in zip(rows, pivots):
+                v[c] = fq.neg(row[f])
+            basis.append(tuple(v))
+    return basis
 
 
 def m_poly(a: FieldElement) -> list[FieldElement]:

@@ -14,14 +14,14 @@ quotients, and its exact order last.  direct_search walks every beta in
 code order with the same per-element predicates.  The table engine builds,
 once per context, two tables from the linear structure of the field.  The
 discrete-log walk applies the F_q-linear map "multiply by a primitive
-element" q^n - 1 times.  The F_q-order table walks the divisors h of
-x^n - 1 by ascending degree and enumerates each kernel ker h(sigma), a
-q^(deg h)-element subspace spanned by the Frobenius images of
-((x^n - 1)/h) o gamma for a normal gamma; the first kernel that reaches an
-element is the one of its order.  Counting operations and censuses run off
-those tables, which live on the context (FieldCtx.memo) like every other
-per-field object.  Witnesses returned by any search are re-verified
-through the direct modstruct predicates before being reported.
+element" q^n - 1 times.  The F_q-order table starts at the index of
+x^n - 1, whose kernel is the whole field, and walks the echelon bases of
+every other ker h(sigma) (modstruct.kernel_basis, as search_pair does)
+from the last divisor to the first; the last kernel to reach an element is
+the least one holding it, which is its order.  Counting operations and
+censuses run off those tables, which live on the context (FieldCtx.memo)
+like every other per-field object.  Every witness a search returns passes
+pair_verified, the direct modstruct predicates, before it is reported.
 """
 
 from __future__ import annotations
@@ -31,18 +31,19 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 from operator import mul
 
-from .errors import FieldTooLarge, NotADivisor, RNotDivisor
+from .errors import CtxMismatch, FieldTooLarge, NotADivisor, RNotDivisor
 from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
 from .fqpoly import PolyQ
 from .modstruct import (
     action_coeffs,
+    action_columns,
     decompose_g,
     decompose_r,
     divisor_lattice,
     frobenius_orbit,
     k_normality,
+    kernel_basis,
     m_gcd_degree,
-    mod_action,
     xn1,
 )
 
@@ -91,48 +92,19 @@ class _Predicates:
     def exact_order(self, idx: int):
         """(code, coeffs) of every element of F_q-order divisors[idx], in increasing code.
 
-        The null vectors of the matrix of h(sigma) in reduced echelon form
-        span ker h(sigma): free column f gives the vector that is 1 at f, 0 at
-        every other free column and minus the f-th entries of the pivot rows
-        at their pivots, all of which lie below f.  A kernel element's
-        coordinate at free column f is its digit there, and two kernel
-        elements first differ, reading from the top, at a free column; so the
-        odometer over these vectors, sorted by f, runs in code order.  It
+        A kernel element's coordinate at the top of a kernel_basis vector is
+        its digit there, since the other vectors are 0 at that coordinate, and
+        two kernel elements first differ, reading from the top, at such a
+        coordinate; so the odometer over these vectors runs in code order.  It
         carries the images under (h/f_j)(sigma) for the prime factors f_j of
         h, and an element has order exactly h when none of them is zero.
         """
-        ctx, fq, n = self.ctx, self.ctx.fq, self.ctx.n
-        h = self.divisors[idx].coeffs
-        # column j of the matrix of h(sigma) is the image of the j-th unit vector
-        units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        cols = [action_coeffs(ctx, h, frobenius_orbit(ctx, e)) for e in units]
-        rows = [list(row) for row in zip(*cols)]
-        pivots: list[int] = []
-        for c in range(n):
-            rank = len(pivots)
-            piv = next((i for i in range(rank, n) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            s = fq.inv(rows[rank][c])
-            rows[rank] = [fq.mul(s, x) for x in rows[rank]]
-            for i, row in enumerate(rows):
-                if i != rank and row[c]:
-                    m = row[c]
-                    rows[i] = [fq.sub(x, fq.mul(m, y)) for x, y in zip(row, rows[rank])]
-            pivots.append(c)
-        basis = []
-        for f in range(n):
-            if f not in pivots:
-                v = [0] * n
-                v[f] = fq.one
-                for row, c in zip(rows, pivots):
-                    v[c] = fq.neg(row[f])
-                basis.append(tuple(v))
+        ctx = self.ctx
+        basis = kernel_basis(ctx, self.divisors[idx].coeffs)
         orbits = [frobenius_orbit(ctx, v) for v in basis]
         images = [[action_coeffs(ctx, self.divisors[j].coeffs, o) for o in orbits]
                   for j in self.quot[idx] if j >= 0]
-        weights = [ctx.q**i for i in range(n)]
+        weights = [ctx.q**i for i in range(ctx.n)]
         for alpha in _span(ctx, basis, images):
             yield sum(map(mul, alpha, weights)), alpha
 
@@ -159,7 +131,7 @@ class _ScanTables:
         self.ctx = ctx
         lattice = divisor_lattice(ctx)
         self.divisors = lattice.divisors
-        self.div_index = lattice.div_index
+        self.top = lattice.top
         n, N = ctx.n, ctx.N
         # multiplication by the primitive element is F_q-linear: its value on
         # a = lo + x^m hi is the sum of the images of lo and of x^m hi, each
@@ -187,33 +159,17 @@ class _ScanTables:
     def _order_table(self) -> list[int]:
         """F_q-order index of every code, from the kernels of h(sigma).
 
-        With gamma normal, ker h(sigma) = {f o beta_h : deg f < deg h} for
-        beta_h = ((x^n - 1)/h) o gamma, a space of q^(deg h) elements.  An
-        element lies in ker h exactly when its order divides h, and the
-        divisors come in (degree, coeffs) order, so the first kernel that
-        reaches a code is the one of its order.
+        An element lies in ker h(sigma) exactly when its order divides h, so
+        its order is the first divisor, in (degree, coeffs) order, whose kernel
+        holds it.  The table starts at x^n - 1, the last divisor, whose kernel
+        is the whole field; every other divisor writes its index over its
+        kernel, from last to first, so the last write at a code is its order.
         """
-        ctx = self.ctx
-        preds = _Predicates(ctx)
-        # low codes are sparse polynomials in x and rarely normal (the first
-        # normal code of F_13^4 is 2380); powers of a generator are not
-        for code in self.pow_codes:
-            gamma = ctx.from_code(code).coeffs
-            if preds.knorm(gamma) == 0:
-                break
-        orbit = frobenius_orbit(ctx, gamma)
-        poly = xn1(ctx)
-        weights = self.weights
-        table = [-1] * ctx.order
-        table[0] = 0  # divisors[0] = 1, the order of zero
-        for idx, h in enumerate(self.divisors[1:], 1):
-            basis = [action_coeffs(ctx, (poly // h).coeffs, orbit)]
-            for _ in range(h.degree - 1):
-                basis.append(ctx._frob(basis[-1]))
-            for alpha in _span(ctx, basis):
-                code = sum(map(mul, alpha, weights))
-                if table[code] < 0:
-                    table[code] = idx
+        ctx, weights = self.ctx, self.weights
+        table = [self.top] * ctx.order
+        for idx in range(self.top - 1, -1, -1):
+            for alpha in _span(ctx, kernel_basis(ctx, self.divisors[idx].coeffs)):
+                table[sum(map(mul, alpha, weights))] = idx
         return table
 
     def inverse_code(self, code: int) -> int:
@@ -304,23 +260,21 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
     if hit is None:
         return SearchOutcome(False, None, ctx.N, elapsed)
     witness = ctx.from_code(hit)
-    _verify_pair_witness(witness, r, k)
+    if not pair_verified(witness, r, k):
+        raise AssertionError("witness failed independent re-verification")
     return SearchOutcome(True, witness, hit, elapsed)
 
 
-def _verify_pair_witness(alpha: FieldElement, r: int, k: int) -> None:
-    ctx = alpha.ctx
-    inv = alpha.inv()
-    ok = (
-        mult_order(alpha) == ctx.N // r
-        and mult_order(inv) == ctx.N // r
-        and k_normality(alpha) == k
-        and k_normality(inv) == k
-        and m_gcd_degree(alpha) == k
-        and m_gcd_degree(inv) == k
+def pair_verified(alpha: FieldElement, r: int, k: int) -> bool:
+    """alpha and alpha^-1 have order (q^n - 1)/r and are k-normal, by the
+    direct predicates: mult_order, k_normality and m_gcd_degree."""
+    N = alpha.ctx.N
+    if alpha.is_zero() or r < 1 or N % r:
+        return False
+    return all(
+        mult_order(a) == N // r and k_normality(a) == k and m_gcd_degree(a) == k
+        for a in (alpha, alpha.inv())
     )
-    if not ok:
-        raise AssertionError("witness failed independent re-verification")
 
 
 def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT) -> SearchOutcome:
@@ -354,8 +308,7 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
         return SearchOutcome(False, None, scanned, elapsed)
     beta = ctx.from_code(hit)
     alpha = beta.frob() - beta
-    inv = alpha.inv()
-    if not (m_gcd_degree(alpha) == 1 and m_gcd_degree(inv) == 1 and mult_order(alpha) == ctx.N):
+    if not pair_verified(alpha, 1, 1):
         raise AssertionError("witness failed independent re-verification")
     return SearchOutcome(True, alpha, scanned, elapsed)
 
@@ -376,15 +329,6 @@ def _divisor_predicates(ctx: FieldCtx, tables: _ScanTables, g: PolyQ, h: PolyQ, 
         in_img.append(div.divides(co_g))
         lam_img.append(any(div.divides(cl) for cl in co_lams))
     return hfree, Hfree, in_img, lam_img
-
-
-def _g_action_codes(ctx: FieldCtx, g: PolyQ) -> list[list[int]]:
-    """Images of the power basis under (g o .), as coefficient tuples."""
-    images = []
-    for j in range(ctx.n):
-        basis = ctx.element(tuple(1 if i == j else 0 for i in range(ctx.n)))
-        images.append(list(mod_action(g, basis).coeffs))
-    return images
 
 
 def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ) -> int:
@@ -412,14 +356,15 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
 
     Z has q^deg g elements exactly when g divides x^n - 1; otherwise this
     raises NotADivisor."""
+    if g.fq != ctx.fq:
+        raise CtxMismatch("polynomial and field live over different F_q")
     tables = scan_tables(ctx)
-    images = _g_action_codes(ctx, g)
     N = ctx.N
     ord_idx, log_codes, pow_codes = tables.ord_idx, tables.log_codes, tables.pow_codes
     weights = tables.weights
     hist: dict[tuple[int, int, int], int] = {}
     z_seen = 0
-    for code, acf in enumerate(_span(ctx, images)):
+    for code, acf in enumerate(_span(ctx, action_columns(ctx, g.coeffs))):
         alpha_code = sum(map(mul, acf, weights))
         if alpha_code == 0:
             z_seen += 1

@@ -86,6 +86,16 @@ def test_search_pair_exits():
     assert verify_report(rep)
 
 
+def test_verify_report_rejects_tampered_witness():
+    code, rep = run_cli("search-pair", "--q", "3", "--n", "4", "--r", "2", "--k", "1")
+    assert code == 0 and verify_report(rep)
+    ctx = ffield.field_for(3, 4)
+    witness = ffield.parse_element(ctx, rep["result"]["witness"])
+    for tampered in (ctx.from_code(witness.code() + 1), witness * witness, ctx.one()):
+        rep["result"]["witness"] = ffield.format_element(tampered)
+        assert not verify_report(rep)
+
+
 def test_direct_search_witness_verifies():
     code, rep = run_cli("direct-search", "--q", "3", "--n", "5")
     assert code == 0
@@ -156,11 +166,23 @@ def test_hints_applied_counts_hints_used(tmp_path):
 
 
 def test_bound_honours_hints(tmp_path, monkeypatch):
+    # a fresh cache, so the command factors 2^28 - 1 for the field itself
     monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    hp = tmp_path / "hints.txt"
+    hp.write_text("268435455 3 5 29 43 113 127\n")
+    code, rep = run_cli("--hints", str(hp), "bound", "--q", "2", "--n", "28")
+    assert code in (0, 3) and "holds" in rep["result"]
+    assert rep["provenance"]["hints_applied"] == 1
+
+
+def test_hints_verified_on_load(tmp_path):
+    # a wrong hint is an error even when the command never factors its value
     hp = tmp_path / "bad.txt"
-    hp.write_text("268435455 3 5 29 43 113 129\n")  # 129 = 3 * 43
-    code, _ = run_cli("--hints", str(hp), "bound", "--q", "2", "--n", "28")
+    hp.write_text("15 3 6\n")
+    code, _ = run_cli("--hints", str(hp), "factor-int", "1023")
     assert code == 4
+    hp.write_text("268435455 3 5 29 43 113 129\n")  # 129 = 3 * 43
+    assert run_cli("--hints", str(hp), "bound", "--q", "2", "--n", "28")[0] == 4
 
 
 def test_usage_error_exit_code():

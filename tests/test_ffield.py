@@ -64,7 +64,7 @@ def test_default_context_found_before_any_search(monkeypatch):
     assert field_for(16, 4) is ctx
     assert make_field(2, 4, 4) is ctx
     assert not calls
-    # moduli equal to the defaults are verified, then give the same context
+    # moduli equal to the defaults give the same context
     assert make_field(2, 4, 4, ext_modulus=ctx.ext_modulus) is ctx
     assert make_field(2, 4, 4, base_modulus=ctx.base_modulus, ext_modulus=ctx.ext_modulus) is ctx
     assert make_field(2, 4, 4, base_modulus=ctx.base_modulus) is ctx
@@ -78,6 +78,28 @@ def test_default_context_found_before_any_search(monkeypatch):
     first = make_field(2, 4, 4, base_modulus=ctx.base_modulus, ext_modulus=ctx.ext_modulus)
     assert first is not ctx
     assert field_for(16, 4) is first
+
+
+def test_override_tested_once(monkeypatch):
+    # a cached override is checked for shape only; an uncached one is tested
+    calls = []
+    real = _polyops.is_irreducible
+    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f: calls.append(f) or real(fq, f))
+    ext = make_field(2, 8, 2).ext_modulus
+    ctx = make_field(2, 8, 2, ext_modulus=ext)
+    calls.clear()
+    assert make_field(2, 8, 2, ext_modulus=ext) is ctx
+    assert make_field(2, 8, 2, base_modulus=ctx.base_modulus, ext_modulus=list(ext)) is ctx
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            make_field(2, 8, 2, ext_modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2
+    assert len(calls) == 2
+    with pytest.raises(ReducibleModulus):
+        make_field(2, 8, 2, ext_modulus=(1, 0, 2))  # not monic
+    with pytest.raises(ReducibleModulus):
+        make_field(2, 8, 2, ext_modulus=(256, 0, 1))  # 256 is not in F_256
+    assert len(calls) == 2
 
 
 def test_make_field_concurrent_first_calls(monkeypatch):

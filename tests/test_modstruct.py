@@ -2,6 +2,9 @@ import random
 import sys
 
 import pytest
+from sympy.polys.domains import GF, ZZ
+from sympy.polys.galoistools import gf_pow_mod
+from sympy.polys.matrices import DomainMatrix
 
 from knpair.characters import psi_set, q_gH, upsilon_g
 from knpair.errors import NotADivisor, ZeroElement
@@ -9,6 +12,7 @@ from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
 from knpair.intarith import euler_phi
 from knpair.modstruct import (
+    action_columns,
     decompose_g,
     decompose_r,
     divisor_lattice,
@@ -19,6 +23,7 @@ from knpair.modstruct import (
     is_e_free,
     is_h_free,
     k_normality,
+    kernel_basis,
     m_gcd_degree,
     m_poly,
     mod_action,
@@ -32,6 +37,43 @@ def test_mod_action_x_minus_1(f8):
     for code in range(8):
         b = f8.from_code(code)
         assert mod_action(x_1, b) == frobenius(b) - b
+
+
+def _sympy_action_matrix(ctx, h):
+    """Rows of the matrix of h(sigma) for t = 1: column j is sum_i h_i x^(j p^i)
+    reduced mod the extension modulus, each power taken by gf_pow_mod."""
+    p, n = ctx.p, ctx.n
+    modulus = list(reversed(ctx.ext_modulus))  # galoistools lists the top coefficient first
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        for i, c in enumerate(h.coeffs):
+            power = gf_pow_mod([1, 0], j * p**i, modulus, p, ZZ)
+            for d, a in enumerate(reversed(power)):
+                col[d] = (col[d] + c * a) % p
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 6), (5, 4), (5, 5), (7, 3), (13, 2),
+                                 (7, 1)])
+def test_kernel_basis_against_sympy(p, n):
+    # prime fields, p | n included; sympy's matrices and powers share no code
+    # with the Frobenius images and the echelon reduction of modstruct
+    ctx = field_for(p, n)
+    K = GF(p)
+    for h in divisors_of(xn1(ctx)):
+        rows = _sympy_action_matrix(ctx, h)
+        assert [list(col) for col in zip(*action_columns(ctx, h.coeffs))] == rows
+        basis = kernel_basis(ctx, h.coeffs)
+        want = DomainMatrix([[K(x) for x in row] for row in rows], (n, n), K).nullspace()
+        assert len(basis) == want.shape[0] == h.degree
+        if basis:
+            both = [[K(x) for x in v] for v in basis] + want.to_list()
+            assert DomainMatrix(both, (2 * h.degree, n), K).rank() == h.degree
+        tops = [max(i for i, c in enumerate(v) if c) for v in basis]
+        assert all(v[top] == 1 for v, top in zip(basis, tops))
+        assert all(a < b for a, b in zip(tops, tops[1:]))
 
 
 def test_mod_action_annihilator_exhaustive_f8(f8):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from knpair.errors import FieldTooLarge, NotADivisor, RNotDivisor
+from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, RNotDivisor
 from knpair.ffield import FieldCtx, field_for, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
@@ -27,6 +27,7 @@ from knpair.search import (
     count_from_profile,
     direct_search,
     pair_profile,
+    pair_verified,
     scan_tables,
     search_pair,
 )
@@ -80,6 +81,9 @@ def test_search_pair_r2():
     a = out.witness
     assert mult_order(a) == a.ctx.N // 2
     assert k_normality(a) == 1 and k_normality(a.inv()) == 1
+    assert pair_verified(a, 2, 1)
+    assert not pair_verified(a, 1, 1) and not pair_verified(a, 2, 2)
+    assert not pair_verified(a.ctx.zero(), 2, 1)
 
 
 @pytest.mark.parametrize("q,n,code", [(3, 9, 1241), (7, 6, 437)])
@@ -230,6 +234,8 @@ def test_pair_profile_rejects_non_divisor():
     ctx = field_for(2, 3)
     with pytest.raises(NotADivisor):
         pair_profile(ctx, PolyQ(ctx.fq, (1, 0, 1, 1)))  # x^3 + x^2 + 1 is coprime to x^3 - 1
+    with pytest.raises(CtxMismatch):
+        pair_profile(ctx, PolyQ(field_for(3, 3).fq, (2, 1)))  # x - 1 over F_3
 
 
 def test_census_knormal(f8):
