@@ -1,12 +1,29 @@
-"""Dense polynomial arithmetic on coefficient lists of subfield codes.
+"""Dense polynomial arithmetic over F_q on coefficient lists of codes.
 
-Coefficients are integer codes interpreted by an arithmetic object ``fq``
-exposing add/sub/mul/neg/inv on codes (see ffield.Fq).  Lists are
-constant-term first with no trailing zeros; [] is the zero polynomial.
-Shared by the modulus search in ffield and by fqpoly.PolyQ.
+``fq`` is an ``ffield.Fq``.  Lists are constant-term first with no trailing
+zeros; [] is the zero polynomial.  Shared by the modulus search in ffield,
+by FieldCtx's element arithmetic and by fqpoly.PolyQ.
+
+Products (``mul``) and divisions (``divmod_``) run one of two kernels,
+chosen by ``fq``:
+
+- t = 1 (F_p): codes are the residues themselves.  A product coefficient
+  accumulates plain int products and is reduced mod p once.  Division
+  subtracts unreduced multiples of the divisor, reduces only the leading
+  coefficient each step reads, and reduces the remainder once at the end.
+- t > 1: a product of two codes is ``fq.alog[fq.log[x] + fq.log[y]]``, the
+  antilog table being long enough that a sum of two logs needs no
+  reduction.  Terms are summed with ``fq.add`` (XOR in characteristic 2,
+  the add table otherwise).
+
+In characteristic 2 a square takes no product: (sum c_i x^i)^2 =
+sum c_i^2 x^(2i), so ``square`` places c_i^2 at x^(2i).  ``pow_mod``
+squares with it, left to right over the exponent's bits.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .errors import DivisionByZero
 
@@ -24,30 +41,49 @@ def deg(c: list[int]) -> int:
 def add(fq, a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = fq.add(out[i], x)
-    return trim(out)
+    return trim(list(map(fq.add, a, b)) + a[len(b):])
 
 
 def sub(fq, a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] = fq.sub(out[i], x)
-    return trim(out)
+    if len(a) < len(b):
+        a = list(a) + [0] * (len(b) - len(a))
+    return trim(list(map(fq.sub, a, b)) + a[len(b):])
 
 
 def mul(fq, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    if fq.t == 1:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        p = fq.p
+        return trim([c % p for c in out])
+    log, alog, add_ = fq.log, fq.alog, fq.add
+    logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = fq.add(out[i + j], fq.mul(x, y))
+        if x:
+            lx = log[x]
+            for j, ly in logs_b:
+                out[i + j] = add_(out[i + j], alog[lx + ly])
     return trim(out)
+
+
+def square(fq, a: list[int]) -> list[int]:
+    """a * a; in characteristic 2 coefficient by coefficient, with no product."""
+    if fq.p != 2:
+        return mul(fq, a, a)
+    if not a:
+        return []
+    out = [0] * (2 * len(a) - 1)
+    if fq.t == 1:
+        out[::2] = a
+    else:
+        log, alog = fq.log, fq.alog
+        out[::2] = [alog[2 * log[c]] for c in a]
+    return out
 
 
 def scale(fq, a: list[int], s: int) -> list[int]:
@@ -56,27 +92,44 @@ def scale(fq, a: list[int], s: int) -> list[int]:
     return trim([fq.mul(c, s) for c in a])
 
 
-def divmod_(fq, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    if len(a) < len(b):
+    top = len(b) - 1
+    if len(a) <= top:
         return [], list(a)
     rem = list(a)
-    inv_lead = fq.inv(b[-1])
-    quo = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
-        if c == 0:
-            continue
-        factor = fq.mul(c, inv_lead)
-        quo[shift] = factor
-        for i, x in enumerate(b):
-            if x:
-                rem[shift + i] = fq.sub(rem[shift + i], fq.mul(factor, x))
-    return trim(quo), trim(rem)
+    quo = [0] * (len(a) - top)
+    if fq.t == 1:
+        p = fq.p
+        inv_lead = fq.inv(b[-1])
+        low = [(j, y) for j, y in enumerate(b[:top]) if y]
+        for s in range(len(a) - top - 1, -1, -1):
+            c = rem[s + top] % p
+            if c:
+                f = c * inv_lead % p
+                quo[s] = f
+                for j, y in low:
+                    rem[s + j] -= f * y
+        return trim(quo), trim([c % p for c in rem[:top]])
+    log, alog, add_ = fq.log, fq.alog, fq.add
+    order = fq.q - 1
+    inv_lead = log[fq.inv(b[-1])]
+    # logs of -b_j / b_top, so that adding c times one subtracts c/b_top * b_j;
+    # -1 is the element of order 2, g^((q-1)/2), for odd q
+    neg = inv_lead if fq.p == 2 else inv_lead + order // 2
+    low = [(j, (log[y] + neg) % order) for j, y in enumerate(b[:top]) if y]
+    for s in range(len(a) - top - 1, -1, -1):
+        c = rem[s + top]
+        if c:
+            lc = log[c]
+            quo[s] = alog[lc + inv_lead]
+            for j, ly in low:
+                rem[s + j] = add_(rem[s + j], alog[lc + ly])
+    return trim(quo), trim(rem[:top])
 
 
-def mod(fq, a: list[int], b: list[int]) -> list[int]:
+def mod(fq, a: list[int], b: Sequence[int]) -> list[int]:
     return divmod_(fq, a, b)[1]
 
 
@@ -93,7 +146,7 @@ def gcd(fq, a: list[int], b: list[int]) -> list[int]:
     return monic(fq, a)
 
 
-def inv_mod(fq, a: list[int], modulus: list[int]) -> list[int]:
+def inv_mod(fq, a: list[int], modulus: Sequence[int]) -> list[int]:
     """Inverse of a modulo an irreducible modulus, by extended Euclid."""
     r0, r1 = list(modulus), mod(fq, a, modulus)
     if not r1:
@@ -108,14 +161,16 @@ def inv_mod(fq, a: list[int], modulus: list[int]) -> list[int]:
     return mod(fq, scale(fq, s1, fq.inv(r1[0])), modulus)
 
 
-def pow_mod(fq, base: list[int], e: int, modulus: list[int]) -> list[int]:
-    result = [fq.one]
+def pow_mod(fq, base: list[int], e: int, modulus: Sequence[int]) -> list[int]:
+    """base^e mod modulus for e >= 0, by left-to-right square and multiply."""
+    if e == 0:
+        return [fq.one]
     base = mod(fq, base, modulus)
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = mod(fq, square(fq, result), modulus)
+        if bit == "1":
             result = mod(fq, mul(fq, result, base), modulus)
-        base = mod(fq, mul(fq, base, base), modulus)
-        e >>= 1
     return result
 
 

@@ -65,10 +65,15 @@ def theta_for(q: int, n: int, k: int, theta_mult: int | None = None) -> int:
 
 
 def _half_power_gt(q: int, twice_exponent: int, rhs: Fraction) -> bool:
-    """q^(twice_exponent/2) > rhs, decided exactly."""
+    """q^(twice_exponent/2) > rhs, decided exactly: for rhs = num/den > 0 it
+    is q^twice * den^2 > num^2 on integers, with the power of q moved to the
+    other side when twice_exponent < 0."""
     if rhs <= 0:
         return True
-    return Fraction(q) ** twice_exponent > rhs * rhs
+    num, den = rhs.numerator, rhs.denominator
+    if twice_exponent >= 0:
+        return q**twice_exponent * den * den > num * num
+    return den * den > num * num * q**-twice_exponent
 
 
 def _half_power_value(q: int, twice_exponent: int):

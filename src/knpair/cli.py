@@ -174,16 +174,18 @@ def emit(report: dict, fmt: str, stream=None) -> None:
 
 
 def verify_report(report: dict) -> bool:
-    """Re-check every witness a parsed report carries with search.pair_verified."""
+    """Re-check every witness a parsed report carries with search.pair_verified;
+    a row that claims found without a witness fails."""
     prov = report.get("provenance", {})
     field = prov.get("field")
     result = report.get("result", {})
     # a table's rows carry their r and k; a single search keeps them in its inputs
     inputs = report.get("inputs", {})
-    rows = result.get("rows", [result] if result.get("witness") else [])
-    for row in rows:
+    for row in result.get("rows", [result]):
         wit = row.get("witness")
         if not wit:
+            if row.get("found"):
+                return False
             continue
         fspec = row.get("field", field)
         ctx = parse_field_spec(f"{fspec['p']}^{fspec['t']}:{fspec['n']}") if isinstance(fspec, dict) else None

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from itertools import repeat
+from operator import xor
 
 from . import _polyops
 from .errors import (
@@ -33,12 +35,23 @@ FQ_TABLE_CEILING = 4096  # largest q for which a t>1 subfield gets log tables
 DLOG_CEILING_DEFAULT = 1 << 24
 
 
+def _identity(a: int) -> int:
+    return a
+
+
 class Fq:
     """Arithmetic of the subfield F_q on integer codes.
 
     For t = 1 this is plain arithmetic mod p.  For t > 1 multiplication and
     inversion run through discrete log/antilog tables built once from the
-    base modulus; addition is digitwise mod p.
+    base modulus; addition is digitwise mod p.  In characteristic 2 addition
+    and subtraction are XOR on codes and negation is the identity.
+
+    ``log[a]`` is the discrete log of a nonzero code, in [0, q - 1), and
+    ``log[0]`` is ZERO = 2q - 3.  ``alog`` is indexed by any sum of two
+    entries of ``log``: it repeats the powers of the generator up to index
+    2q - 4 and is 0 from ZERO to 2 ZERO, so ``alog[log[a] + log[b]]`` is
+    the product a*b, zero factors included, with no reduction mod q - 1.
     """
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
@@ -47,11 +60,15 @@ class Fq:
         self.q = p**t
         self.modulus = modulus
         self.one = 1
+        if p == 2:  # digitwise addition mod 2 on base-2 codes
+            self.add = self.sub = xor
+            self.neg = _identity
         if t == 1:
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
+            if p > 2:
+                self.add = lambda a, b: (a + b) % p
+                self.sub = lambda a, b: (a - b) % p
+                self.neg = lambda a: (-a) % p
             self.mul = lambda a, b: (a * b) % p
-            self.neg = lambda a: (-a) % p
             self.inv = self._inv_prime
             return
         if self.q > FQ_TABLE_CEILING:
@@ -85,17 +102,6 @@ class Fq:
 
     def _build_tables(self) -> None:
         q, p = self.q, self.p
-        # additive structure: digitwise mod p (full table only while quadratic
-        # storage stays trivial)
-        self._vecs = [self.code_to_vec(a) for a in range(q)]
-        self._negtab = [self.vec_to_code([(-x) % p for x in self._vecs[a]]) for a in range(q)]
-        if q <= 256:
-            self._addtab = [
-                [self.vec_to_code([(x + y) % p for x, y in zip(self._vecs[a], self._vecs[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-        else:
-            self._addtab = None
         # multiplicative structure: log/antilog against the first generator
         for g in range(2, q):
             seen = 1
@@ -107,23 +113,35 @@ class Fq:
                 break
         else:
             raise ReducibleModulus(f"no generator found for F_{q}; base modulus is reducible")
-        alog = [1] * (q - 1)
-        log = [0] * q
+        powers = [1] * (q - 1)
+        zero = 2 * q - 3
+        log = [zero] * q
         cur = 1
         for i in range(q - 1):
-            alog[i] = cur
+            powers[i] = cur
             log[cur] = i
             cur = self._vec_mul_mod(cur, g)
-        self._alog, self._log = alog, log
-        if self._addtab is not None:
-            self.add = lambda a, b: self._addtab[a][b]
-            self.sub = lambda a, b: self._addtab[a][self._negtab[b]]
-        else:
-            self.add = self._add_digits
-            self.sub = lambda a, b: self._add_digits(a, self._negtab[b])
-        self.neg = lambda a: self._negtab[a]
+        self.log = log
+        self.alog = (powers + powers)[:zero] + [0] * (zero + 1)
         self.mul = self._mul_table
         self.inv = self._inv_table
+        if p == 2:
+            return
+        # additive structure: digitwise mod p (full table only while quadratic
+        # storage stays trivial)
+        self._vecs = [self.code_to_vec(a) for a in range(q)]
+        negtab = [self.vec_to_code([(-x) % p for x in self._vecs[a]]) for a in range(q)]
+        if q <= 256:
+            addtab = [
+                [self.vec_to_code([(x + y) % p for x, y in zip(self._vecs[a], self._vecs[b])]) for b in range(q)]
+                for a in range(q)
+            ]
+            self.add = lambda a, b: addtab[a][b]
+            self.sub = lambda a, b: addtab[a][negtab[b]]
+        else:
+            self.add = self._add_digits
+            self.sub = lambda a, b: self._add_digits(a, negtab[b])
+        self.neg = negtab.__getitem__
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -134,25 +152,21 @@ class Fq:
         return code
 
     def _mul_table(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._alog[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.alog[self.log[a] + self.log[b]]
 
     def _inv_table(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero in F_q")
-        return self._alog[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.alog[self.q - 1 - self.log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        if self.t == 1:
+            return pow(a, e, self.p)
+        if a == 0:
+            return 0 if e else 1
+        return self.alog[self.log[a] * e % (self.q - 1)]
 
     def elements(self) -> range:
         return range(self.q)
@@ -269,23 +283,20 @@ class FieldCtx:
         return tuple(map(self.fq.add, a, b))
 
     def _sub(self, a: tuple, b: tuple) -> tuple:
-        sub = self.fq.sub
-        return tuple(sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.fq.sub, a, b))
 
     def _neg(self, a: tuple) -> tuple:
-        neg = self.fq.neg
-        return tuple(neg(x) for x in a)
+        return tuple(map(self.fq.neg, a))
 
     def _scale(self, a: tuple, s: int) -> tuple:
         if s == 0:
             return (0,) * self.n
-        mul = self.fq.mul
-        return tuple(mul(x, s) for x in a)
+        return tuple(map(self.fq.mul, a, repeat(s)))
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         fq = self.fq
         prod = _polyops.mul(fq, _polyops.trim(list(a)), _polyops.trim(list(b)))
-        rem = _polyops.mod(fq, prod, list(self.ext_modulus))
+        rem = _polyops.mod(fq, prod, self.ext_modulus)
         return tuple(rem + [0] * (self.n - len(rem)))
 
     def _inv(self, a: tuple) -> tuple:
@@ -293,7 +304,7 @@ class FieldCtx:
         va = _polyops.trim(list(a))
         if not va:
             raise DivisionByZero("inverse of zero element")
-        inv = _polyops.inv_mod(fq, va, list(self.ext_modulus))
+        inv = _polyops.inv_mod(fq, va, self.ext_modulus)
         return tuple(inv + [0] * (self.n - len(inv)))
 
     def _pow(self, a: tuple, e: int) -> tuple:
@@ -301,13 +312,8 @@ class FieldCtx:
             return (self.fq.pow(a[0], e),)
         if e < 0:
             a, e = self._inv(a), -e
-        out = (1,) + (0,) * (self.n - 1)
-        while e:
-            if e & 1:
-                out = self._mul(out, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return out
+        out = _polyops.pow_mod(self.fq, _polyops.trim(list(a)), e, self.ext_modulus)
+        return tuple(out + [0] * (self.n - len(out)))
 
     # -- Frobenius x -> x^q as an F_q-linear map ------------------------------
     def _build_frob_basis(self) -> list[list[int]]:
@@ -315,7 +321,7 @@ class FieldCtx:
         images = []
         for j in range(self.n):
             xj = [0] * j + [self.fq.one]
-            img = _polyops.pow_mod(self.fq, xj, self.q, list(self.ext_modulus))
+            img = _polyops.pow_mod(self.fq, xj, self.q, self.ext_modulus)
             images.append(img + [0] * (self.n - len(img)))
         return images
 

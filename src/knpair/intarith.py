@@ -1,14 +1,15 @@
 """Exact integer number theory.
 
 Factorization is fully deterministic: trial division by every prime below
-10^6, then Brent-cycle Pollard rho with a fixed seed schedule, with every
-reported prime certified (Miller-Rabin with the 13-witness deterministic set
-below 3.3e24, BPSW above).  Externally computed factorizations may be
-supplied as hints for the extent of one ``with factor_hints(hints) as used:``
-block: inside it, factor_int takes n's factorization from a hint for n,
-after verifying it (primality of every part, product check), and adds n to
-``used``.  The scope is per thread, so hints reach every factorization
-the block makes, through any number of calls, and nothing outside it.
+10^6 (sieved only as far as isqrt(n) needs), then Brent-cycle Pollard rho
+with a fixed seed schedule, with every reported prime certified
+(Miller-Rabin with the 13-witness deterministic set below 3.3e24, BPSW
+above).  Externally computed factorizations may be supplied as hints for
+the extent of one ``with factor_hints(hints) as used:`` block: inside it,
+factor_int takes n's factorization from a hint for n, after verifying it
+(primality of every part, product check), and adds n to ``used``.  The
+scope is per thread, so hints reach every factorization the block makes,
+through any number of calls, and nothing outside it.
 
 On top of that sit the multiplicative helpers the existence bounds need:
 rad, Euler phi, Moebius mu, the squarefree-divisor count W(n) = 2^omega(n),
@@ -20,9 +21,11 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from mpmath import mp, mpf
 
@@ -38,16 +41,23 @@ _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
 @lru_cache(maxsize=4)
-def primes_below(limit: int) -> tuple[int, ...]:
-    """All primes < limit, by sieve of Eratosthenes."""
+def _primes(limit: int) -> array:
+    """All primes < limit, by sieve of Eratosthenes, as machine integers: a
+    tuple of the primes below 10^6 would hold 78,498 int objects, several
+    times the memory."""
     if limit <= 2:
-        return ()
+        return array("I")
     flags = bytearray([1]) * limit
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return tuple(i for i in range(limit) if flags[i])
+    return array("I", compress(range(limit), flags))
+
+
+def primes_below(limit: int) -> tuple[int, ...]:
+    """All primes < limit, by sieve of Eratosthenes."""
+    return tuple(_primes(limit))
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
@@ -256,7 +266,10 @@ def factor_hints(hints: Hints):
 def _factor_cached(n: int, effort: int) -> IntFactorization:
     factors: dict[int, int] = {}
     rest = n
-    for p in primes_below(TRIAL_DIVISION_BOUND):
+    # the loop stops before any prime above isqrt(n); the sieve limit is
+    # rounded up to a power of two so that the sieve's cache serves it
+    limit = min(TRIAL_DIVISION_BOUND, 1 << (math.isqrt(n) + 1).bit_length())
+    for p in _primes(limit):
         if p * p > rest:
             break
         while rest % p == 0:
@@ -344,7 +357,7 @@ def c_nu(nu: float, M: IntFactorization | None = None, sieve_ceiling: int = PRIM
         if bound_real > sieve_ceiling:
             raise NuTooLarge(f"2^{nu} exceeds the prime sieve ceiling {sieve_ceiling}")
         bound = int(bound_real)
-        ps = [p for p in primes_below(bound + 1)]
+        ps = list(_primes(bound + 1))
     else:
         ps = [p for p in M.primes if mpf(p) <= bound_real]
     if not ps:

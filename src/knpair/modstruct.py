@@ -132,11 +132,18 @@ def mod_action(g: PolyQ, b: FieldElement) -> FieldElement:
     return FieldElement(ctx, action_coeffs(ctx, g.coeffs, frobenius_orbit(ctx, b.coeffs)))
 
 
-def action_columns(ctx: FieldCtx, g_coeffs: tuple) -> list[tuple]:
-    """The matrix of g(sigma) on the power basis: column j is g o x^j."""
+def _power_basis_orbits(ctx: FieldCtx) -> list[list[tuple]]:
+    """The Frobenius orbit of each x^j, j < n."""
     n = ctx.n
-    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return [action_coeffs(ctx, g_coeffs, frobenius_orbit(ctx, e)) for e in units]
+    return [frobenius_orbit(ctx, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+
+
+def action_columns(ctx: FieldCtx, g_coeffs: tuple) -> list[tuple]:
+    """The matrix of g(sigma) on the power basis: column j is g o x^j.
+
+    ``action_coeffs(ctx, v, columns)`` is then g o v for the element with
+    coefficients v."""
+    return [action_coeffs(ctx, g_coeffs, orbit) for orbit in ctx.memo(_power_basis_orbits)]
 
 
 def kernel_basis(ctx: FieldCtx, h_coeffs: tuple) -> list[tuple]:

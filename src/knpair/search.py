@@ -101,9 +101,11 @@ class _Predicates:
         """
         ctx = self.ctx
         basis = kernel_basis(ctx, self.divisors[idx].coeffs)
-        orbits = [frobenius_orbit(ctx, v) for v in basis]
-        images = [[action_coeffs(ctx, self.divisors[j].coeffs, o) for o in orbits]
-                  for j in self.quot[idx] if j >= 0]
+        images = []
+        for j in self.quot[idx]:
+            if j >= 0:
+                columns = action_columns(ctx, self.divisors[j].coeffs)
+                images.append([action_coeffs(ctx, v, columns) for v in basis])
         weights = [ctx.q**i for i in range(ctx.n)]
         for alpha in _span(ctx, basis, images):
             yield sum(map(mul, alpha, weights)), alpha

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from knpair.bounds import (
+    _half_power_gt,
     asymptotic_threshold,
     basic_inequality,
     lemma54_eval,
@@ -163,3 +164,16 @@ def test_test_sieve_small_cases():
     out = sieve_search(47, 23, 3)
     assert out.found and out.report.verdict.holds
     assert out.report.D > 0
+
+
+def test_half_power_gt_against_fraction_form():
+    # q^(twice/2) > rhs, decided on integers, against the Fraction power it replaced
+    rhs_values = [Fraction(0), Fraction(-3, 2), Fraction(1), Fraction(1, 7), Fraction(7, 3), Fraction(16),
+                  Fraction(17), Fraction(15, 1), Fraction(4095, 4), Fraction(4096, 4), Fraction(1, 4096)]
+    for q in (2, 3, 4, 5, 16, 167):
+        for twice in range(-9, 12):
+            exact = Fraction(q) ** twice
+            # q^(twice // 2) is equality when twice is even
+            for rhs in rhs_values + [exact, Fraction(q) ** (twice // 2)]:
+                expected = rhs <= 0 or exact > rhs * rhs
+                assert _half_power_gt(q, twice, rhs) == expected, (q, twice, rhs)

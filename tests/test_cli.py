@@ -214,3 +214,23 @@ def test_reproduce_thm11_reports_mismatches_honestly():
     by_pair = {(r["q"], r["n"]): r for r in rep["result"]["rows"]}
     assert by_pair[(3, 4)]["match"] and by_pair[(7, 5)]["match"]
     assert not by_pair[(5, 4)]["match"] and not by_pair[(11, 5)]["match"]
+
+
+def test_verify_report_rejects_found_without_witness():
+    code, rep = run_cli("search-pair", "--q", "3", "--n", "4", "--r", "2", "--k", "1")
+    assert code == 0 and verify_report(rep)
+    rep["result"]["witness"] = None
+    assert not verify_report(rep)
+    _, rep = run_cli("search-pair", "--q", "4", "--n", "5", "--r", "1", "--k", "1")
+    assert verify_report(rep)  # not found, no witness: nothing to check
+    rep["result"]["found"] = True
+    assert not verify_report(rep)
+
+
+def test_verify_report_rejects_table_row_found_without_witness():
+    _, rep = run_cli("reproduce", "--target", "spnbt-exceptions")
+    assert verify_report(rep)
+    row = next(r for r in rep["result"]["rows"] if (r["q"], r["n"]) == (2, 3))
+    assert not row["found"] and not row["witness"]
+    row["found"] = True
+    assert not verify_report(rep)

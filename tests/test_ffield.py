@@ -2,6 +2,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knpair import _polyops, ffield
 from knpair.errors import (
@@ -27,6 +29,8 @@ from knpair.ffield import (
     trace_abs,
 )
 from knpair.intarith import euler_phi
+
+from conftest import BENCHMARK_MODULI
 
 
 def test_canonical_moduli_f8(f8):
@@ -389,3 +393,34 @@ def test_enumeration_order_is_odometer(f8):
     assert seq[1] == (1, 0, 0)
     assert seq[2] == (0, 1, 0)
     assert len(seq) == 8
+
+
+def test_default_moduli_of_benchmark_and_reproduce_fields():
+    for (p, t, n), moduli in BENCHMARK_MODULI.items():
+        ctx = make_field(p, t, n)
+        assert (ctx.base_modulus, ctx.ext_modulus) == moduli, (p, t, n)
+
+
+TOWERS = [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2), (2, 6, 2), (7, 2, 2)]
+
+
+@pytest.mark.parametrize("p,t,n", TOWERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_towers(p, t, n, data):
+    ctx = make_field(p, t, n)
+    a, b, c = (ctx.from_code(data.draw(st.integers(0, ctx.order - 1))) for _ in range(3))
+    e = data.draw(st.integers(0, 40))
+    one = ctx.one()
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a and a + ctx.zero() == a and a * one == a
+    assert a - b + b == a and a + -a == ctx.zero()
+    assert a ** (ctx.q**n) == a
+    assert ctx._frob(a.coeffs) == ctx._pow(a.coeffs, ctx.q)
+    power = one
+    for _ in range(e):
+        power = power * a
+    assert a**e == power
+    if not a.is_zero():
+        assert a * a.inv() == one and a ** -e == power.inv()

@@ -1,9 +1,11 @@
+import random
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from sympy import factorint, isprime, nextprime
 
 from knpair.errors import FactorizationIncomplete, InvalidHint, NuTooLarge
 from knpair.intarith import (
@@ -20,6 +22,8 @@ from knpair.intarith import (
     rad_int,
     squarefree_divisor_count,
 )
+
+from conftest import BENCHMARK_MODULI
 
 
 def test_factor_prime():
@@ -188,3 +192,23 @@ def test_is_prime_edges():
     assert is_prime(2**127 - 1)  # BPSW path (above the deterministic MR limit)
     assert not is_prime((2**89 - 1) * (2**107 - 1))
     assert not is_prime(2**89 * 3)
+
+
+def test_factor_int_and_is_prime_against_sympy():
+    # trial division sieves only as far as isqrt(n) needs; the factorizations
+    # must not change, including for prime factors between 2^16 and 10^6
+    rng = random.Random(2024)
+    mid = [nextprime(rng.randrange(1 << 16, 10**6)) for _ in range(12)] + [65537, 999983]
+    values = {p ** (t * n) - 1 for p, t, n in BENCHMARK_MODULI}
+    values.update(a * b for a in mid for b in mid[:4])
+    values.update(a * rng.randrange(2, 10**4) for a in mid)
+    values.update(a * nextprime(10**6 + rng.randrange(10**5)) for a in mid)
+    values.update(a**2 * 3**rng.randrange(1, 9) for a in mid)
+    values.update(rng.randrange(2, 1 << 48) for _ in range(60))
+    for n in sorted(values):
+        assert dict(factor_int(n).factors) == factorint(n), n
+        assert is_prime(n) == isprime(n), n
+    for a in mid:
+        assert is_prime(a) and factor_int(a).factors == ((a, 1),)
+    for n in range(1, 3000):
+        assert dict(factor_int(n).factors) == factorint(n) and is_prime(n) == isprime(n), n

@@ -6,6 +6,7 @@ from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_pow_mod
 from sympy.polys.matrices import DomainMatrix
 
+from knpair import modstruct
 from knpair.characters import psi_set, q_gH, upsilon_g
 from knpair.errors import NotADivisor, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
@@ -369,3 +370,17 @@ def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
     assert len(divs) == 9 and ctx.order == 64
     assert calls["factor_poly"] == 1  # x^n - 1 itself, once for the context
     assert calls["divisors_of"] == 0
+
+
+def test_power_basis_orbits_built_once(monkeypatch):
+    # action_columns reads the Frobenius orbits of x^0..x^(n-1) from the
+    # context's memo, so every divisor's kernel basis shares one build
+    base = field_for(4, 6)
+    ctx = FieldCtx(base.fq, base.n, base.ext_modulus)  # fresh memo
+    built = []
+    real = modstruct.frobenius_orbit
+    monkeypatch.setattr(modstruct, "frobenius_orbit", lambda c, v: built.append(v) or real(c, v))
+    lattice = divisor_lattice(ctx)
+    for h in lattice.divisors:
+        assert len(kernel_basis(ctx, h.coeffs)) == h.degree
+    assert len(built) == ctx.n
