@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from mpmath import mp, mpf, log
-
 from .errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from .ffield import FieldCtx, field_for
 from .fqpoly import PolyQ, degree_k_divisors, factor_poly, w_poly
@@ -162,6 +160,9 @@ def asymptotic_threshold(q: int, n: int, r: int, k: int, nu: float, w_form: str 
         raise ValueError(f"unknown W form {w_form!r}")
     theta = theta_for(q, n, k, theta_mult)
     inputs = (("q", q), ("n", n), ("r", r), ("k", k), ("nu", nu), ("w_form", w_form), ("c_q", c_q))
+    # imported here, as in c_nu: no other bound needs mpmath
+    from mpmath import log, mp, mpf
+
     C = c_nu(nu)
     rr = r * rad_int(r)
     with mp.workprec(200):

@@ -22,14 +22,17 @@ from __future__ import annotations
 import math
 import threading
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from .errors import FactorizationIncomplete, InvalidHint, NuTooLarge
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 TRIAL_DIVISION_BOUND = 10**6
 POLLARD_EFFORT = 1 << 21  # Brent iterations per (seed, constant) attempt
@@ -40,8 +43,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
-@lru_cache(maxsize=4)
-def _primes(limit: int) -> array:
+def _eratosthenes(limit: int) -> array:
     """All primes < limit, by sieve of Eratosthenes, as machine integers: a
     tuple of the primes below 10^6 would hold 78,498 int objects, several
     times the memory."""
@@ -53,6 +55,23 @@ def _primes(limit: int) -> array:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
     return array("I", compress(range(limit), flags))
+
+
+# (limit, the primes below it): one sieve, grown to the largest limit asked
+# for so far.  The pair is swapped in one assignment, so a thread that reads
+# it always gets primes that match their limit.
+_sieve: tuple[int, array] = (0, array("I"))
+
+
+def _primes(limit: int) -> array:
+    """All primes < limit, cut from the one sieve; it is rebuilt only when
+    limit exceeds every limit asked for before."""
+    global _sieve
+    sieved, primes = _sieve
+    if limit > sieved:
+        primes = _eratosthenes(limit)
+        _sieve = (limit, primes)
+    return primes[: bisect_left(primes, limit)]
 
 
 def primes_below(limit: int) -> tuple[int, ...]:
@@ -267,7 +286,7 @@ def _factor_cached(n: int, effort: int) -> IntFactorization:
     factors: dict[int, int] = {}
     rest = n
     # the loop stops before any prime above isqrt(n); the sieve limit is
-    # rounded up to a power of two so that the sieve's cache serves it
+    # rounded up to a power of two so that the sieve grows by doubling
     limit = min(TRIAL_DIVISION_BOUND, 1 << (math.isqrt(n) + 1).bit_length())
     for p in _primes(limit):
         if p * p > rest:
@@ -352,6 +371,10 @@ def c_nu(nu: float, M: IntFactorization | None = None, sieve_ceiling: int = PRIM
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
+    # imported here: loading mpmath adds about 4 MiB to the peak RSS of every
+    # process that imports knpair, and only the asymptotic thresholds need it
+    from mpmath import mp, mpf
+
     bound_real = mpf(2) ** mpf(nu)
     if M is None:
         if bound_real > sieve_ceiling:

@@ -20,8 +20,12 @@ every other ker h(sigma) (modstruct.kernel_basis, as search_pair does)
 from the last divisor to the first; the last kernel to reach an element is
 the least one holding it, which is its order.  Counting operations and
 censuses run off those tables, which live on the context (FieldCtx.memo)
-like every other per-field object.  Every witness a search returns passes
-pair_verified, the direct modstruct predicates, before it is reported.
+like every other per-field object.  pair_profile, which the counts read,
+walks only the image of (g o .), ker ((x^n - 1)/g)(sigma), and spreads
+each alpha there over its q^deg g preimages beta, whose F_q-orders it
+reads off the lattice's exponent vectors (the rule is in its docstring).
+Every witness a search returns passes pair_verified, the direct modstruct
+predicates, before it is reported.
 """
 
 from __future__ import annotations
@@ -356,29 +360,59 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
     """Histogram over beta outside Z of (ord-idx of beta, gcd(dlog(g o beta), N),
     ord-idx of (g o beta)^-1); one pass serves every (r, h, d, H) combination.
 
-    Z has q^deg g elements exactly when g divides x^n - 1; otherwise this
-    raises NotADivisor."""
+    The pass runs over alpha = g o beta, not beta: the image of (g o .) is
+    ker ((x^n - 1)/g)(sigma), and each alpha in it has q^deg g preimages whose
+    F_q-orders depend only on Ord(alpha).  With exponent vectors g_j, a_j and
+    b_j of g, Ord(alpha) and Ord(beta) at the factor f_j^e_j of x^n - 1,
+    d_j = deg f_j: if a_j > 0 then b_j = a_j + g_j, for q^(d_j g_j) of them;
+    if a_j = 0 then b_j runs over 0..g_j, for q^(d_j b_j) - q^(d_j (b_j - 1))
+    of them (1 when b_j = 0).  The counts multiply over j.  g and any scalar
+    multiple of it have the same image and preimages, so only g.monic() is
+    read; NotADivisor is raised when that is not a divisor of x^n - 1."""
     if g.fq != ctx.fq:
         raise CtxMismatch("polynomial and field live over different F_q")
+    lattice = divisor_lattice(ctx)
+    g_idx = lattice.div_index.get(g.monic())
+    if g_idx is None:
+        raise NotADivisor("g does not divide x^n - 1")
+    co_g = xn1(ctx) // lattice.divisors[g_idx]
     tables = scan_tables(ctx)
     N = ctx.N
     ord_idx, log_codes, pow_codes = tables.ord_idx, tables.log_codes, tables.pow_codes
     weights = tables.weights
-    hist: dict[tuple[int, int, int], int] = {}
-    z_seen = 0
-    for code, acf in enumerate(_span(ctx, action_columns(ctx, g.coeffs))):
-        alpha_code = sum(map(mul, acf, weights))
-        if alpha_code == 0:
-            z_seen += 1
+    image: dict[tuple[int, int, int], int] = {}
+    for acf in _span(ctx, kernel_basis(ctx, co_g.coeffs)):
+        code = sum(map(mul, acf, weights))
+        if code == 0:
             continue
-        e = log_codes[alpha_code]
+        e = log_codes[code]
         gam = int_gcd(e, N) if e else N
-        inv_code = pow_codes[(N - e) % N]
-        key = (ord_idx[code], gam, ord_idx[inv_code])
-        hist[key] = hist.get(key, 0) + 1
-    if z_seen != ctx.q**g.degree:
-        raise NotADivisor(f"zero set of (g o .) has {z_seen} elements, not q^deg g; "
-                          "g does not divide x^n - 1")
+        key = (ord_idx[code], gam, ord_idx[pow_codes[(N - e) % N]])
+        image[key] = image.get(key, 0) + 1
+
+    gv, q = lattice.vecs[g_idx], ctx.q
+    index_of = {v: idx for idx, v in enumerate(lattice.vecs)}
+
+    def preimage_orders(a_idx: int) -> list[tuple[int, int]]:
+        """(ord-idx of beta, count) over the preimages of one alpha of order a_idx."""
+        spread = [((), 1)]
+        for (f, _), a, gj in zip(lattice.factors, lattice.vecs[a_idx], gv):
+            qd = q**f.degree
+            if a:
+                options = [(a + gj, qd**gj)]
+            else:
+                options = [(0, 1)] + [(b, qd**b - qd ** (b - 1)) for b in range(1, gj + 1)]
+            spread = [(v + (b,), w * c) for v, w in spread for b, c in options]
+        return [(index_of[v], w) for v, w in spread]
+
+    spreads: dict[int, list[tuple[int, int]]] = {}
+    hist: dict[tuple[int, int, int], int] = {}
+    for (a_idx, gam, inv_idx), cnt in image.items():
+        if a_idx not in spreads:
+            spreads[a_idx] = preimage_orders(a_idx)
+        for b_idx, w in spreads[a_idx]:
+            key = (b_idx, gam, inv_idx)
+            hist[key] = hist.get(key, 0) + cnt * w
     return hist
 
 

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import knpair
 from knpair import ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
 
@@ -60,6 +65,18 @@ def test_bound_searches_moduli_once(monkeypatch):
     searched.clear()
     assert run_cli("bound", "--q", "16", "--n", "8", "--k", "2")[0] in (0, 3)
     assert searched == []  # a later question on the field searches nothing
+
+
+def test_import_and_bound_leave_mpmath_unloaded():
+    # only c_nu and asymptotic_threshold import mpmath, and no CLI command
+    # reaches them; a fresh interpreter is needed to see sys.modules clean
+    src = str(Path(knpair.__file__).resolve().parents[1])
+    script = ("import sys, knpair, knpair.cli\n"
+              "knpair.cli.main(['bound', '--q', '4', '--n', '14'])\n"
+              "sys.exit(3 if 'mpmath' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr or "mpmath was imported"
 
 
 def test_sieve_command():

@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from knpair import _polyops
 from knpair.errors import TooManyDivisors, ZeroPolynomial
@@ -14,6 +18,8 @@ from knpair.fqpoly import (
     phi_q,
     poly_arith,
 )
+
+from conftest import BENCHMARK_MODULI
 
 
 def xn1(q, n):
@@ -56,6 +62,30 @@ def test_factor_x4_minus_1_over_f5():
     fact = factor_poly(xn1(5, 4))
     assert all(f.degree == 1 for f in fact.irreducibles)
     assert len(fact.factors) == 4
+
+
+def _factor_against_sympy(f: PolyQ) -> None:
+    """factor_poly and sympy's gf_factor agree on the unit, the monic
+    irreducible factors and their multiplicities (t = 1 only)."""
+    p = f.fq.p
+    unit, parts = gf_factor([c % p for c in f.coeffs[::-1]], p, ZZ)  # leading coefficient first
+    want = sorted((tuple(c % p for c in g[::-1]), e) for g, e in parts)
+    fact = factor_poly(f)
+    assert fact.unit == unit % p
+    assert sorted((g.coeffs, e) for g, e in fact.factors) == want
+
+
+@pytest.mark.parametrize("p,n", sorted({(p, n) for p, t, n in BENCHMARK_MODULI if t == 1}))
+def test_factor_xn1_against_sympy(p, n):
+    _factor_against_sympy(PolyQ.xn_minus_1(make_field(p, 1, 1).fq, n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 167])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_factor_poly_against_sympy(p, data):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=14).filter(lambda c: c[-1]))
+    _factor_against_sympy(PolyQ(make_field(p, 1, 1).fq, tuple(coeffs)))
 
 
 def test_factor_remultiplies_and_certifies():

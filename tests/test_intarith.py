@@ -1,12 +1,15 @@
 import random
+import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime, nextprime, primerange
 
+from knpair import intarith
 from knpair.errors import FactorizationIncomplete, InvalidHint, NuTooLarge
 from knpair.intarith import (
     IntFactorization,
@@ -184,6 +187,47 @@ def test_c_nu_rejects_large_nu():
 
 def test_primes_below():
     assert primes_below(20) == (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def test_primes_from_one_sieve(monkeypatch):
+    # one sieve, rebuilt only for a new largest limit; smaller limits are cut
+    # from it, so asking again in decreasing order sieves nothing
+    built = []
+    real = intarith._eratosthenes
+    monkeypatch.setattr(intarith, "_eratosthenes", lambda limit: built.append(limit) or real(limit))
+    monkeypatch.setattr(intarith, "_sieve", (0, array("I")))
+    limits = [2, 3, 4, 30, 97, 1000, 1024, 7919, 7920]
+    for limit in limits + limits[::-1] + [0, 1]:
+        assert list(intarith._primes(limit)) == list(primerange(limit))
+    assert built == limits
+    assert intarith._sieve[0] == 7920 and list(intarith._sieve[1]) == list(primerange(7920))
+
+
+def test_primes_racing_threads(monkeypatch):
+    # threads that grow the sieve while others cut from it: every answer must
+    # match its own limit, whichever (limit, primes) pair a thread read
+    monkeypatch.setattr(intarith, "_sieve", (0, array("I")))
+    want = {limit: list(primerange(limit)) for limit in range(2, 4000, 97)}
+    wrong = []
+
+    def worker(offset):
+        for i in range(len(want)):
+            limit = list(want)[(i * 7 + offset) % len(want)]
+            if list(intarith._primes(limit)) != want[limit]:
+                wrong.append(limit)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 def test_is_prime_edges():

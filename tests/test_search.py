@@ -12,6 +12,7 @@ from knpair.intarith import euler_phi
 from knpair.modstruct import (
     decompose_g,
     decompose_r,
+    divisor_lattice,
     fq_order,
     in_Qrd,
     in_TgkH,
@@ -230,10 +231,62 @@ def test_scan_tables_against_direct_predicates(q, n):
         assert a * ctx.from_code(tables.inverse_code(c)) == one
 
 
-def test_pair_profile_rejects_non_divisor():
+def _profile_oracle(ctx, g, orders):
+    """pair_profile by brute force over every beta, from the direct
+    predicates: fq_order of beta, N / mult_order of alpha = g o beta (which
+    is gcd(dlog alpha, N)) and fq_order of alpha^-1, mapped to lattice
+    indices.  ``orders`` memoizes the per-code predicates for one field."""
+    index = divisor_lattice(ctx).div_index
+    hist = {}
+    for code in range(ctx.order):
+        beta = ctx.from_code(code)
+        alpha = mod_action(g, beta)
+        if alpha.is_zero():
+            continue
+        if code not in orders:
+            orders[code] = index[fq_order(beta)]
+        a = alpha.code()
+        if ("alpha", a) not in orders:
+            orders["alpha", a] = (ctx.N // mult_order(alpha), index[fq_order(alpha.inv())])
+        key = (orders[code],) + orders["alpha", a]
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 6), (4, 4), (2, 8), (5, 5), (9, 3)])
+def test_pair_profile_against_direct_predicates(q, n):
+    # x^n - 1 has repeated factors on every one of these fields; F_4 and F_9
+    # have t = 2.  The oracle walks every beta; pair_profile walks only the
+    # image of (g o .) and spreads each alpha over its preimages.
+    ctx = field_for(q, n)
+    fq, orders = ctx.fq, {}
+    for g in divisor_lattice(ctx).divisors:
+        want = _profile_oracle(ctx, g, orders)
+        assert pair_profile(ctx, g) == want
+        if q > 2:  # a non-monic multiple has the same image and preimages
+            c = q - 1
+            assert pair_profile(ctx, PolyQ(fq, tuple(fq.mul(c, x) for x in g.coeffs))) == want
+    full = pair_profile(ctx, PolyQ.one(fq))
+    assert sum(full.values()) == ctx.N  # g = 1: every nonzero beta
+    assert pair_profile(ctx, xn1(ctx)) == {}  # g = x^n - 1: the zero set is the field
+
+
+def test_pair_profile_rejects_non_divisor(monkeypatch):
+    import knpair.search as search
+
+    def walk(*args):
+        raise AssertionError("pair_profile walked before checking g")
+
+    monkeypatch.setattr(search, "scan_tables", walk)
+    monkeypatch.setattr(search, "_span", walk)
     ctx = field_for(2, 3)
-    with pytest.raises(NotADivisor):
-        pair_profile(ctx, PolyQ(ctx.fq, (1, 0, 1, 1)))  # x^3 + x^2 + 1 is coprime to x^3 - 1
+    for g in [
+        PolyQ.zero(ctx.fq),
+        PolyQ(ctx.fq, (1, 0, 1, 1)),  # x^3 + x^2 + 1 is coprime to x^3 - 1
+        PolyQ(ctx.fq, (1, 0, 1)),  # (x + 1)^2 shares x + 1 with x^3 - 1 but does not divide it
+    ]:
+        with pytest.raises(NotADivisor):
+            pair_profile(ctx, g)
     with pytest.raises(CtxMismatch):
         pair_profile(ctx, PolyQ(field_for(3, 3).fq, (2, 1)))  # x - 1 over F_3
 
