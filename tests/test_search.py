@@ -231,25 +231,17 @@ def test_scan_tables_against_direct_predicates(q, n):
         assert a * ctx.from_code(tables.inverse_code(c)) == one
 
 
-def _profile_oracle(ctx, g, orders):
-    """pair_profile by brute force over every beta, from the direct
-    predicates: fq_order of beta, N / mult_order of alpha = g o beta (which
-    is gcd(dlog alpha, N)) and fq_order of alpha^-1, mapped to lattice
-    indices.  ``orders`` memoizes the per-code predicates for one field."""
-    index = divisor_lattice(ctx).div_index
+def _profile_oracle(ctx, g, direct):
+    """pair_profile by brute force over every beta.  ``direct[code]`` holds
+    the direct predicates of the element with that code: the lattice index
+    of its fq_order, N / mult_order (which is gcd(dlog, N)) and the index of
+    the fq_order of its inverse."""
     hist = {}
     for code in range(ctx.order):
-        beta = ctx.from_code(code)
-        alpha = mod_action(g, beta)
-        if alpha.is_zero():
-            continue
-        if code not in orders:
-            orders[code] = index[fq_order(beta)]
-        a = alpha.code()
-        if ("alpha", a) not in orders:
-            orders["alpha", a] = (ctx.N // mult_order(alpha), index[fq_order(alpha.inv())])
-        key = (orders[code],) + orders["alpha", a]
-        hist[key] = hist.get(key, 0) + 1
+        alpha = mod_action(g, ctx.from_code(code)).code()
+        if alpha:
+            key = (direct[code][0],) + direct[alpha][1:]
+            hist[key] = hist.get(key, 0) + 1
     return hist
 
 
@@ -259,9 +251,13 @@ def test_pair_profile_against_direct_predicates(q, n):
     # have t = 2.  The oracle walks every beta; pair_profile walks only the
     # image of (g o .) and spreads each alpha over its preimages.
     ctx = field_for(q, n)
-    fq, orders = ctx.fq, {}
+    fq, index = ctx.fq, divisor_lattice(ctx).div_index
+    direct = {0: (index[fq_order(ctx.zero())],)}
+    for code in range(1, ctx.order):
+        a = ctx.from_code(code)
+        direct[code] = (index[fq_order(a)], ctx.N // mult_order(a), index[fq_order(a.inv())])
     for g in divisor_lattice(ctx).divisors:
-        want = _profile_oracle(ctx, g, orders)
+        want = _profile_oracle(ctx, g, direct)
         assert pair_profile(ctx, g) == want
         if q > 2:  # a non-monic multiple has the same image and preimages
             c = q - 1
