@@ -16,10 +16,8 @@ from .bounds import (
 )
 from .characters import (
     CharSpec,
-    CharWeights,
     add_char,
     add_char_fq_order,
-    build_char_weights,
     char_eval,
     eval_charfun,
     mult_char,

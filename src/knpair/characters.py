@@ -47,8 +47,7 @@ from math import gcd as int_gcd
 
 from .errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
 from .ffield import FieldCtx, FieldElement, trace_abs
-from .fqpoly import PolyQ, divisors_of
-from .intarith import divisors as int_divisors
+from .fqpoly import PolyQ
 from .modstruct import GDecomposition, RDecomposition, divisor_lattice
 from .search import scan_tables
 
@@ -272,42 +271,3 @@ def eval_charfun(which: str, a: FieldElement, **kwargs) -> Fraction:
     if which == "Q_gH":
         return q_gH(a, kwargs["gd"], kwargs["H"])
     raise ValueError(f"unknown characteristic function {which!r}")
-
-
-# -- weight bundles ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharWeights:
-    """The ell weights appearing in the Q_r^d and T_{g,k}^H sums."""
-
-    ell_int: tuple[tuple[tuple[int, int], Fraction], ...]
-    ell_poly: tuple[tuple[tuple[PolyQ, PolyQ], Fraction], ...]
-
-    def int_weight(self, p_j: int, e_j: int) -> Fraction:
-        for (p, e), w in self.ell_int:
-            if (p, e) == (p_j, e_j):
-                return w
-        raise KeyError((p_j, e_j))
-
-    def poly_weight(self, f_i: PolyQ, h: PolyQ) -> Fraction:
-        for (f, hh), w in self.ell_poly:
-            if (f, hh) == (f_i, h):
-                return w
-        raise KeyError((f_i, h))
-
-
-def build_char_weights(rd: RDecomposition | None = None, gd: GDecomposition | None = None) -> CharWeights:
-    ints = []
-    if rd is not None:
-        for p_j, _, _, lam in rd.parts:
-            for e_j in int_divisors(lam):
-                w = Fraction(-1, p_j) if e_j == lam else Fraction(p_j - 1, p_j)
-                ints.append(((p_j, e_j), w))
-    polys = []
-    if gd is not None:
-        for f_i, _, _, lam in gd.parts:
-            qdeg = f_i.fq.q**f_i.degree
-            for h in divisors_of(lam):
-                w = Fraction(-1, qdeg) if h == lam else Fraction(qdeg - 1, qdeg)
-                polys.append(((f_i, h), w))
-    return CharWeights(tuple(ints), tuple(polys))

@@ -358,43 +358,32 @@ def decompose_g(g: PolyQ, ctx: FieldCtx) -> GDecomposition:
 # -- element-class membership ----------------------------------------------------
 
 def in_Qrd(a: FieldElement, rd: RDecomposition, d: int) -> bool:
-    """a is d-free, an r-th power, and not a lambda_j-th power for any j."""
+    """a is d-free, an r-th power, and not a lambda_j-th power for any j.
+
+    All three read o = ord(a): a is d-free when gcd(d, N/o) = 1, and an
+    m-th power, for m | N, when o divides N/m."""
     ctx = a.ctx
     if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
     if a.is_zero():
         raise ZeroElement("Q_r^d membership is defined for nonzero elements only")
-    if not is_e_free(a, d):
-        return False
-    N = ctx.N
-    one = (1,) + (0,) * (ctx.n - 1)
-    if ctx._pow(a.coeffs, N // rd.r) != one:
-        return False
-    for lam in rd.lambdas:
-        if ctx._pow(a.coeffs, N // lam) == one:
-            return False
-    return True
+    co = ctx.N // mult_order(a)
+    return int_gcd(d, co) == 1 and co % rd.r == 0 and all(co % lam for lam in rd.lambdas)
 
 
 def in_TgkH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> bool:
-    """a is H-free, in the image of (g o .), and in no (Lambda_i o .) image."""
-    ctx = a.ctx
+    """a is H-free, in the image of (g o .), and in no (Lambda_i o .) image.
+
+    All three read Ord(a): the image of (D o .) is ker ((x^n - 1)/D)(sigma),
+    so a lies in it when Ord(a) divides (x^n - 1)/D."""
     if H.is_zero() or not H.divides(gd.G):
         raise NotADivisor("H does not divide G")
     if a.is_zero():
         raise ZeroElement("T_{g,k}^H membership is defined for nonzero elements only")
-    if not is_h_free(a, H):
-        return False
-    orbit = frobenius_orbit(ctx, a.coeffs)
-    zero = (0,) * ctx.n
-    co_g = gd.xn1 // gd.g
-    if action_coeffs(ctx, co_g.coeffs, orbit) != zero:
-        return False
-    for lam in gd.lambdas:
-        co_lam = gd.xn1 // lam
-        if action_coeffs(ctx, co_lam.coeffs, orbit) == zero:
-            return False
-    return True
+    # Ord(a) | (x^n - 1)/D exactly when D | (x^n - 1)/Ord(a)
+    co_order = gd.xn1 // fq_order(a)
+    return (H.gcd(co_order).degree == 0 and gd.g.divides(co_order)
+            and not any(lam.divides(co_order) for lam in gd.lambdas))
 
 
 def in_Sgk(a: FieldElement, gd: GDecomposition) -> bool:

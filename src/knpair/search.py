@@ -12,18 +12,20 @@ sends to zero, and merges these streams by code.  Each candidate then has
 its inverse's k-normality checked by descent through the lattice's
 quotients, and its exact order last.  direct_search walks every beta in
 code order with the same per-element predicates.  The table engine builds,
-once per context, two tables from the linear structure of the field.  The
-discrete-log walk applies the F_q-linear map "multiply by a primitive
-element" q^n - 1 times.  The F_q-order table starts at the index of
-x^n - 1, whose kernel is the whole field, and walks the echelon bases of
-every other ker h(sigma) (modstruct.kernel_basis, as search_pair does)
-from the last divisor to the first; the last kernel to reach an element is
-the least one holding it, which is its order.  Counting operations and
-censuses run off those tables, which live on the context (FieldCtx.memo)
-like every other per-field object.  pair_profile, which the counts read,
-walks only the image of (g o .), ker ((x^n - 1)/g)(sigma), and spreads
-each alpha there over its q^deg g preimages beta, whose F_q-orders it
-reads off the lattice's exponent vectors (the rule is in its docstring).
+once per context, the F_q-order table first and then one discrete-log
+walk.  The F_q-order table starts at the index of x^n - 1, whose kernel is
+the whole field, and walks the echelon bases of every other ker h(sigma)
+(modstruct.kernel_basis, as search_pair does) from the last divisor to the
+first; the last kernel to reach an element is the least one holding it,
+which is its order.  The walk applies the F_q-linear map "multiply by a
+primitive element" q^n - 1 times, records each element's discrete log and
+the order index of prim^e, and ends in one histogram, the element profile:
+the nonzero a counted by (order of a, gcd(dlog a, q^n - 1), order of
+a^-1).  These are the only facts of an element that the counts read, so
+censuses, pair_profile and count_from_profile are folds over the
+profile's keys, with no loop over elements; their polynomial-side
+predicates are read off the lattice's exponent vectors.  The tables live
+on the context (FieldCtx.memo) like every other per-field object.
 Every witness a search returns passes pair_verified, the direct modstruct
 predicates, before it is reported.
 """
@@ -31,7 +33,9 @@ predicates, before it is reported.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd as int_gcd
 from operator import mul
 
@@ -41,14 +45,12 @@ from .fqpoly import PolyQ
 from .modstruct import (
     action_coeffs,
     action_columns,
-    decompose_g,
     decompose_r,
     divisor_lattice,
     frobenius_orbit,
     k_normality,
     kernel_basis,
     m_gcd_degree,
-    xn1,
 )
 
 ENUM_CEILING_BITS_DEFAULT = 24
@@ -129,7 +131,12 @@ class _Predicates:
 
 
 class _ScanTables:
-    """Full dlog walk plus the F_q-order of every element, by code."""
+    """The dlog walk, the F_q-order of every element, and the element profile.
+
+    ``profile`` counts the nonzero elements a by (ord-idx of a, gcd(dlog a, N),
+    ord-idx of a^-1), the only three facts of an element that the counts and
+    censuses read.
+    """
 
     def __init__(self, ctx: FieldCtx):
         if ctx.order > TABLE_CEILING:
@@ -139,6 +146,9 @@ class _ScanTables:
         self.divisors = lattice.divisors
         self.top = lattice.top
         n, N = ctx.n, ctx.N
+        # an element's code is sum(map(mul, coeffs, weights))
+        self.weights = weights = [ctx.q**i for i in range(n)]
+        self.ord_idx = ord_idx = self._order_table()
         # multiplication by the primitive element is F_q-linear: its value on
         # a = lo + x^m hi is the sum of the images of lo and of x^m hi, each
         # looked up in a table of q^(n/2) entries
@@ -147,20 +157,20 @@ class _ScanTables:
         m = n // 2
         low, high = list(_span(ctx, images[:m])), list(_span(ctx, images[m:]))
         split = ctx.q**m
-        # an element's code is sum(map(mul, coeffs, weights))
-        self.weights = weights = [ctx.q**i for i in range(n)]
-        pow_codes = [0] * N
+        ords = [0] * N
         log_codes = [-1] * ctx.order
         cur = ctx.one().coeffs
         for e in range(N):
             code = sum(map(mul, cur, weights))
-            pow_codes[e] = code
+            ords[e] = ord_idx[code]
             log_codes[code] = e
             hi, lo = divmod(code, split)
             cur = ctx._add(low[lo], high[hi])
-        self.pow_codes = pow_codes
         self.log_codes = log_codes
-        self.ord_idx = self._order_table()
+        # gcd(0, N) = N; the inverse of prim^e is prim^((N - e) % N), and zip
+        # stops after N of them, at ords[1]
+        inverse_ords = chain(ords[:1], reversed(ords))
+        self.profile = Counter(zip(ords, map(int_gcd, range(N), repeat(N)), inverse_ords))
 
     def _order_table(self) -> list[int]:
         """F_q-order index of every code, from the kernels of h(sigma).
@@ -177,10 +187,6 @@ class _ScanTables:
             for alpha in _span(ctx, kernel_basis(ctx, self.divisors[idx].coeffs)):
                 table[sum(map(mul, alpha, weights))] = idx
         return table
-
-    def inverse_code(self, code: int) -> int:
-        e = self.log_codes[code]
-        return self.pow_codes[(self.ctx.N - e) % self.ctx.N]
 
 
 def _span(ctx: FieldCtx, basis: list[tuple], images: list[list[tuple]] = ()):
@@ -321,38 +327,61 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
 
 # -- exact counting ---------------------------------------------------------------
 
-def _divisor_predicates(ctx: FieldCtx, tables: _ScanTables, g: PolyQ, h: PolyQ, H: PolyQ):
-    """Per-order-divisor booleans for the three polynomial-side predicates."""
-    poly = xn1(ctx)
-    gd = decompose_g(g, ctx)
-    co_g = poly // g
-    co_lams = [poly // lam for lam in gd.lambdas]
-    hfree, Hfree, in_img, lam_img = [], [], [], []
-    for div in tables.divisors:
-        co_order = poly // div
-        hfree.append(h.gcd(co_order).degree == 0)
-        Hfree.append(H.gcd(co_order).degree == 0)
-        in_img.append(div.divides(co_g))
-        lam_img.append(any(div.divides(cl) for cl in co_lams))
-    return hfree, Hfree, in_img, lam_img
+def _exponents(ctx: FieldCtx, name: str, poly: PolyQ) -> tuple[int, ...]:
+    """The exponent vector of poly.monic() in the divisor lattice of x^n - 1;
+    NotADivisor when it is not a divisor."""
+    if poly.fq != ctx.fq:
+        raise CtxMismatch("polynomial and field live over different F_q")
+    lattice = divisor_lattice(ctx)
+    idx = lattice.div_index.get(poly.monic())
+    if idx is None:
+        raise NotADivisor(f"{name} does not divide x^n - 1")
+    return lattice.vecs[idx]
+
+
+def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
+    """The predicates of a count, read off the divisor lattice, after checking
+    that g and h divide x^n - 1, r divides q^n - 1, d divides R and H divides G.
+
+    With a, g_j, h_j, H_j and e_j the exponent vectors of an F_q-order, g, h,
+    H and x^n - 1: beta of order a is h-free when a_j = e_j wherever h_j > 0;
+    alpha^-1 of order a is in T_{g,k}^H when it is H-free, a_j + g_j <= e_j
+    at every j (the image of (g o .)) and a_j + g_j = e_j wherever
+    0 < g_j < e_j (no Lambda o . image).  G = rad(x^n - 1)/rad(g) has
+    exponent 1 where g_j = 0 and 0 elsewhere.  alpha is in Q_r^d when
+    gam = gcd(dlog alpha, N) = N/ord(alpha) is a multiple of r, coprime to d
+    and a multiple of no lambda_j.  Returns (hfree, in_T, in_Q): two lists by
+    order index and a test on gam.
+    """
+    gv, hv, Hv = _exponents(ctx, "g", g), _exponents(ctx, "h", h), _exponents(ctx, "H", H)
+    rd = decompose_r(r, ctx)
+    if d < 1 or rd.R % d:
+        raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
+    lattice = divisor_lattice(ctx)
+    vecs, top = lattice.vecs, lattice.vecs[lattice.top]
+    if any(Hj > (gj == 0) for Hj, gj in zip(Hv, gv)):
+        raise NotADivisor("H does not divide G")
+    hfree = [all(a == e for a, e, hj in zip(v, top, hv) if hj) for v in vecs]
+    in_T = [
+        all((a == e or not Hj) and a + gj <= e and (a + gj == e or not 0 < gj < e)
+            for a, e, gj, Hj in zip(v, top, gv, Hv))
+        for v in vecs
+    ]
+    lambdas = rd.lambdas
+
+    def in_Q(gam: int) -> bool:
+        return gam % r == 0 and int_gcd(d, gam) == 1 and all(gam % lam for lam in lambdas)
+
+    return hfree, in_T, in_Q
 
 
 def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ) -> int:
     """Exact count of beta outside the zero set of (g o .) with beta h-free,
     g o beta in Q_r^d and (g o beta)^-1 in T_{g,k}^H."""
     ctx = field_for(q, n)
-    poly = xn1(ctx)
-    g, h, H = g.monic(), h.monic(), H.monic()
-    if g.degree != k or not g.divides(poly):
+    if g.degree != k:
         raise NotADivisor("g must be a monic degree-k divisor of x^n - 1")
-    if not h.divides(poly):
-        raise NotADivisor("h does not divide x^n - 1")
-    rd = decompose_r(r, ctx)
-    gd = decompose_g(g, ctx)
-    if d < 1 or rd.R % d:
-        raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
-    if not H.divides(gd.G):
-        raise NotADivisor("H does not divide G")
+    _count_tests(ctx, g, r, h, d, H)  # every argument, before the profile is built
     return count_from_profile(ctx, g, pair_profile(ctx, g), r, h, d, H)
 
 
@@ -360,44 +389,30 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
     """Histogram over beta outside Z of (ord-idx of beta, gcd(dlog(g o beta), N),
     ord-idx of (g o beta)^-1); one pass serves every (r, h, d, H) combination.
 
-    The pass runs over alpha = g o beta, not beta: the image of (g o .) is
-    ker ((x^n - 1)/g)(sigma), and each alpha in it has q^deg g preimages whose
-    F_q-orders depend only on Ord(alpha).  With exponent vectors g_j, a_j and
-    b_j of g, Ord(alpha) and Ord(beta) at the factor f_j^e_j of x^n - 1,
-    d_j = deg f_j: if a_j > 0 then b_j = a_j + g_j, for q^(d_j g_j) of them;
-    if a_j = 0 then b_j runs over 0..g_j, for q^(d_j b_j) - q^(d_j (b_j - 1))
-    of them (1 when b_j = 0).  The counts multiply over j.  g and any scalar
-    multiple of it have the same image and preimages, so only g.monic() is
-    read; NotADivisor is raised when that is not a divisor of x^n - 1."""
-    if g.fq != ctx.fq:
-        raise CtxMismatch("polynomial and field live over different F_q")
+    It is folded from the field's element profile (scan_tables(ctx).profile):
+    the image of (g o .) is ker ((x^n - 1)/g)(sigma), the alpha whose
+    F_q-order has exponents a_j + g_j <= e_j, and each alpha in it has
+    q^deg g preimages whose F_q-orders depend only on Ord(alpha).  With
+    exponent vectors g_j, a_j and b_j of g, Ord(alpha) and Ord(beta) at the
+    factor f_j^e_j of x^n - 1, d_j = deg f_j: if a_j > 0 then
+    b_j = a_j + g_j, for q^(d_j g_j) of them; if a_j = 0 then b_j runs over
+    0..g_j, for q^(d_j b_j) - q^(d_j (b_j - 1)) of them (1 when b_j = 0).
+    The counts multiply over j.  g and any scalar multiple of it have the
+    same image and preimages, so only g.monic() is read; NotADivisor is
+    raised when that is not a divisor of x^n - 1."""
+    gv = _exponents(ctx, "g", g)
     lattice = divisor_lattice(ctx)
-    g_idx = lattice.div_index.get(g.monic())
-    if g_idx is None:
-        raise NotADivisor("g does not divide x^n - 1")
-    co_g = xn1(ctx) // lattice.divisors[g_idx]
-    tables = scan_tables(ctx)
-    N = ctx.N
-    ord_idx, log_codes, pow_codes = tables.ord_idx, tables.log_codes, tables.pow_codes
-    weights = tables.weights
-    image: dict[tuple[int, int, int], int] = {}
-    for acf in _span(ctx, kernel_basis(ctx, co_g.coeffs)):
-        code = sum(map(mul, acf, weights))
-        if code == 0:
-            continue
-        e = log_codes[code]
-        gam = int_gcd(e, N) if e else N
-        key = (ord_idx[code], gam, ord_idx[pow_codes[(N - e) % N]])
-        image[key] = image.get(key, 0) + 1
-
-    gv, q = lattice.vecs[g_idx], ctx.q
+    q, top = ctx.q, lattice.vecs[lattice.top]
     index_of = {v: idx for idx, v in enumerate(lattice.vecs)}
 
     def preimage_orders(a_idx: int) -> list[tuple[int, int]]:
-        """(ord-idx of beta, count) over the preimages of one alpha of order a_idx."""
+        """(ord-idx of beta, count) over the preimages of one alpha of order a_idx,
+        empty when a_idx is not the order of an element of the image."""
         spread = [((), 1)]
-        for (f, _), a, gj in zip(lattice.factors, lattice.vecs[a_idx], gv):
+        for (f, _), a, gj, e in zip(lattice.factors, lattice.vecs[a_idx], gv, top):
             qd = q**f.degree
+            if a + gj > e:
+                return []
             if a:
                 options = [(a + gj, qd**gj)]
             else:
@@ -405,11 +420,9 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
             spread = [(v + (b,), w * c) for v, w in spread for b, c in options]
         return [(index_of[v], w) for v, w in spread]
 
-    spreads: dict[int, list[tuple[int, int]]] = {}
+    spreads = [preimage_orders(a_idx) for a_idx in range(len(lattice.vecs))]
     hist: dict[tuple[int, int, int], int] = {}
-    for (a_idx, gam, inv_idx), cnt in image.items():
-        if a_idx not in spreads:
-            spreads[a_idx] = preimage_orders(a_idx)
+    for (a_idx, gam, inv_idx), cnt in scan_tables(ctx).profile.items():
         for b_idx, w in spreads[a_idx]:
             key = (b_idx, gam, inv_idx)
             hist[key] = hist.get(key, 0) + cnt * w
@@ -418,67 +431,37 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
 
 def count_from_profile(ctx: FieldCtx, g: PolyQ, hist, r: int, h: PolyQ, d: int, H: PolyQ) -> int:
     """count_N recomputed from a pair_profile histogram (same quantity)."""
-    tables = scan_tables(ctx)
-    rd = decompose_r(r, ctx)
-    hfree, Hfree, in_img, lam_img = _divisor_predicates(ctx, tables, g, h.monic(), H.monic())
-    lambdas = rd.lambdas
-    total = 0
-    for (oi_b, gam, oi_i), cnt in hist.items():
-        if not hfree[oi_b]:
-            continue
-        if int_gcd(d, gam) != 1 or gam % r:
-            continue
-        if any(gam % lam == 0 for lam in lambdas):
-            continue
-        if Hfree[oi_i] and in_img[oi_i] and not lam_img[oi_i]:
-            total += cnt
-    return total
+    hfree, in_T, in_Q = _count_tests(ctx, g, r, h, d, H)
+    return sum(cnt for (b_idx, gam, inv_idx), cnt in hist.items()
+               if hfree[b_idx] and in_T[inv_idx] and in_Q(gam))
 
 
 # -- censuses ---------------------------------------------------------------------
 
 def census(q: int, n: int, what: str, arg: int | None = None):
-    """Exhaustive counts: knormal(k) / rprimitive(r) / fq_order_fibers / pair_table(r)."""
+    """Exhaustive counts: knormal(k) / rprimitive(r) / fq_order_fibers / pair_table(r),
+    each a fold of the field's element profile (scan_tables(ctx).profile)."""
     ctx = field_for(q, n)
     tables = scan_tables(ctx)
-    N = ctx.N
+    degree = [div.degree for div in tables.divisors]
+    profile = tables.profile.items()
     if what == "knormal":
         if arg is None or not 0 <= arg <= ctx.n - 1:
             raise ValueError("knormal census needs k in [0, n-1]")
-        want = ctx.n - arg
-        return sum(
-            1
-            for code in range(1, ctx.order)
-            if tables.divisors[tables.ord_idx[code]].degree == want
-        )
+        return sum(cnt for (a, _, _), cnt in profile if degree[a] == ctx.n - arg)
+    if what in ("rprimitive", "pair_table") and (arg < 1 or ctx.N % arg):
+        raise RNotDivisor(f"r = {arg} does not divide q^n - 1")
     if what == "rprimitive":
-        if arg < 1 or N % arg:
-            raise RNotDivisor(f"r = {arg} does not divide q^n - 1")
-        count = 0
-        for code in range(1, ctx.order):
-            e = tables.log_codes[code]
-            gam = int_gcd(e, N) if e else N
-            if gam == arg:
-                count += 1
-        return count
+        return sum(cnt for (_, gam, _), cnt in profile if gam == arg)
     if what == "fq_order_fibers":
-        fibers: dict[PolyQ, int] = {}
-        for code in range(ctx.order):
-            div = tables.divisors[tables.ord_idx[code]]
-            fibers[div] = fibers.get(div, 0) + 1
-        return fibers
+        fibers = Counter({tables.divisors[tables.ord_idx[0]]: 1})
+        for (a, _, _), cnt in profile:
+            fibers[tables.divisors[a]] += cnt
+        return dict(fibers)
     if what == "pair_table":
-        if arg < 1 or N % arg:
-            raise RNotDivisor(f"r = {arg} does not divide q^n - 1")
-        out: dict[int, int] = {}
-        for code in range(1, ctx.order):
-            e = tables.log_codes[code]
-            gam = int_gcd(e, N) if e else N
-            if gam != arg:
-                continue
-            kb = ctx.n - tables.divisors[tables.ord_idx[code]].degree
-            ki = ctx.n - tables.divisors[tables.ord_idx[tables.inverse_code(code)]].degree
-            if kb == ki:
-                out[kb] = out.get(kb, 0) + 1
-        return out
+        out: Counter[int] = Counter()
+        for (a, gam, inv), cnt in profile:
+            if gam == arg and degree[a] == degree[inv]:
+                out[ctx.n - degree[a]] += cnt
+        return dict(out)
     raise ValueError(f"unknown census selector {what!r}")

@@ -8,7 +8,6 @@ import pytest
 from knpair.characters import (
     add_char,
     add_char_fq_order,
-    build_char_weights,
     char_eval,
     char_tables,
     eval_charfun,
@@ -149,16 +148,6 @@ def test_field_too_large_for_charfun():
     ctx = make_field(2, 1, 10)
     with pytest.raises(FieldTooLarge):
         rho_e(ctx.one(), 1)
-
-
-def test_char_weights_bounds():
-    ctx = make_field(2, 1, 4)
-    rd = decompose_r(3, ctx)
-    gd = decompose_g(PolyQ(ctx.fq, (1, 1)), ctx)
-    w = build_char_weights(rd, gd)
-    for (f_i, _), _ in w.ell_poly:
-        base = w.poly_weight(f_i, PolyQ.one(ctx.fq))
-        assert all(abs(val) <= base for (f, _), val in w.ell_poly if f == f_i)
 
 
 def test_charfun_dispatcher(f8):

@@ -11,6 +11,7 @@ from knpair.characters import psi_set, q_gH, upsilon_g
 from knpair.errors import NotADivisor, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
+from knpair.intarith import divisors as idivs
 from knpair.intarith import euler_phi
 from knpair.modstruct import (
     action_columns,
@@ -291,6 +292,47 @@ def test_frobenius_stability():
         a = ctx.from_code(code)
         assert fq_order(frobenius(a)) == fq_order(a)
         assert mult_order(frobenius(a)) == mult_order(a)
+
+
+def _in_Qrd_by_powers(a, rd, d):
+    """Q_r^d membership by powers: e-free through mult_order, then a^(N/r) = 1
+    and a^(N/lambda_j) != 1."""
+    N, one = a.ctx.N, a.ctx.one()
+    return (is_e_free(a, d) and a ** (N // rd.r) == one
+            and all(a ** (N // lam) != one for lam in rd.lambdas))
+
+
+def _in_TgkH_by_action(a, gd, H):
+    """T_{g,k}^H membership by the module action: H-free, killed by
+    (x^n - 1)/g and by no (x^n - 1)/Lambda_i."""
+    return (is_h_free(a, H) and mod_action(gd.xn1 // gd.g, a).is_zero()
+            and not any(mod_action(gd.xn1 // lam, a).is_zero() for lam in gd.lambdas))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (9, 2), (2, 6), (4, 3)])
+def test_membership_against_power_and_action_forms(q, n):
+    # in_Qrd reads one mult_order and in_TgkH one fq_order; the oracles take
+    # powers and apply the module action.  t = 2 on F_4 and F_9, p | n on
+    # F_2^4, F_3^3, F_4^2 and F_2^6
+    ctx = field_for(q, n)
+    poly = xn1(ctx)
+    nz = [ctx.from_code(c) for c in range(1, ctx.order)]
+    seen = set()
+    for r in idivs(ctx.N):
+        rd = decompose_r(r, ctx)
+        for d in idivs(rd.R):
+            for a in nz:
+                got = in_Qrd(a, rd, d)
+                assert got == _in_Qrd_by_powers(a, rd, d), (r, d, a.code())
+                seen.add(("Q", got))
+    for g in divisors_of(poly):
+        gd = decompose_g(g, ctx)
+        for H in divisors_of(gd.G):
+            for a in nz:
+                got = in_TgkH(a, gd, H)
+                assert got == _in_TgkH_by_action(a, gd, H), (g, H, a.code())
+                seen.add(("T", got))
+    assert seen == {("Q", False), ("Q", True), ("T", False), ("T", True)}
 
 
 def test_Qrd_inverse_symmetry():

@@ -1,11 +1,12 @@
 import sys
 import threading
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, RNotDivisor
-from knpair.ffield import FieldCtx, field_for, mult_order
+from knpair.ffield import FieldCtx, field_for, find_primitive, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
 from knpair.intarith import euler_phi
@@ -102,7 +103,7 @@ def test_search_pair_r2_k2_found(q, n, code):
         return (
             gcd(e, ctx.N) == 2
             and tables.divisors[tables.ord_idx[c]].degree == n - 2
-            and tables.divisors[tables.ord_idx[tables.inverse_code(c)]].degree == n - 2
+            and tables.divisors[tables.ord_idx[ctx.from_code(c).inv().code()]].degree == n - 2
         )
 
     assert next(c for c in range(1, ctx.order) if is_pair(c)) == code
@@ -214,21 +215,27 @@ def test_count_N_full_seed_positivity_equivalence():
 
 @pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 4), (5, 5), (9, 3), (16, 3)])
 def test_scan_tables_against_direct_predicates(q, n):
-    # fq_order (orbit descent) and _mul (polynomial reduction) share no code
-    # with the kernel walk and the linear dlog walk that build the tables
+    # fq_order (orbit descent), mult_order, _inv and _pow share no code with
+    # the kernel walk and the linear dlog walk that build the tables
     ctx = field_for(q, n)
     tables = scan_tables(ctx)
-    one = ctx.one()
+    index = divisor_lattice(ctx).div_index
     assert tables.divisors[tables.ord_idx[0]] == fq_order(ctx.zero())
-    gen = ctx.from_code(tables.pow_codes[1])
+    gen = find_primitive(ctx)
     assert mult_order(gen) == ctx.N
+    assert tables.log_codes[0] == -1
+    assert sorted(tables.log_codes[1:]) == list(range(ctx.N))
+    orders = {}
     for c in range(1, ctx.order):
         a = ctx.from_code(c)
         assert tables.divisors[tables.ord_idx[c]] == fq_order(a)
-        e = tables.log_codes[c]
-        assert tables.pow_codes[e] == c
-        assert (a * gen).code() == tables.pow_codes[(e + 1) % ctx.N]
-        assert a * ctx.from_code(tables.inverse_code(c)) == one
+        assert gen ** tables.log_codes[c] == a
+        orders[c] = index[fq_order(a)]
+    want = Counter(
+        (orders[c], ctx.N // mult_order(a), orders[a.inv().code()])
+        for c, a in ((c, ctx.from_code(c)) for c in range(1, ctx.order))
+    )
+    assert tables.profile == want
 
 
 def _profile_oracle(ctx, g, direct):
@@ -265,6 +272,18 @@ def test_pair_profile_against_direct_predicates(q, n):
     full = pair_profile(ctx, PolyQ.one(fq))
     assert sum(full.values()) == ctx.N  # g = 1: every nonzero beta
     assert pair_profile(ctx, xn1(ctx)) == {}  # g = x^n - 1: the zero set is the field
+    # the four census selectors fold the same element profile
+    divs = divisor_lattice(ctx).divisors
+    deg = {code: divs[row[0]].degree for code, row in direct.items()}
+    nonzero = range(1, ctx.order)
+    inv_deg = {c: divs[direct[c][2]].degree for c in nonzero}
+    assert census(q, n, "fq_order_fibers") == Counter(divs[row[0]] for row in direct.values())
+    for k in range(n):
+        assert census(q, n, "knormal", k) == sum(1 for c in nonzero if deg[c] == n - k)
+    for r in idivs(ctx.N):
+        assert census(q, n, "rprimitive", r) == sum(1 for c in nonzero if direct[c][1] == r)
+        assert census(q, n, "pair_table", r) == Counter(
+            n - deg[c] for c in nonzero if direct[c][1] == r and deg[c] == inv_deg[c])
 
 
 def test_pair_profile_rejects_non_divisor(monkeypatch):
@@ -285,6 +304,28 @@ def test_pair_profile_rejects_non_divisor(monkeypatch):
             pair_profile(ctx, g)
     with pytest.raises(CtxMismatch):
         pair_profile(ctx, PolyQ(field_for(3, 3).fq, (2, 1)))  # x - 1 over F_3
+
+
+def test_count_rejects_bad_arguments_before_walking(monkeypatch):
+    import knpair.search as search
+
+    def walk(*args):
+        raise AssertionError("a count walked before checking its arguments")
+
+    monkeypatch.setattr(search, "scan_tables", walk)
+    monkeypatch.setattr(search, "_span", walk)
+    ctx = field_for(2, 3)  # x^3 - 1 = (x + 1)(x^2 + x + 1), q^3 - 1 = 7 = R for r = 1
+    P = lambda *c: PolyQ(ctx.fq, c)
+    g, one, top = P(1, 1), P(1), xn1(ctx)  # G = x^2 + x + 1 for g = x + 1
+    for h, d, H in [
+        (P(1, 0, 1), 1, one),  # h = (x + 1)^2 does not divide x^3 - 1
+        (top, 1, P(1, 1)),  # H = x + 1 does not divide G
+        (top, 2, one),  # d = 2 does not divide R = 7
+    ]:
+        with pytest.raises(NotADivisor):
+            count_N(2, 3, 1, 1, g, h, d, H)
+        with pytest.raises(NotADivisor):
+            count_from_profile(ctx, g, {}, 1, h, d, H)
 
 
 def test_census_knormal(f8):
