@@ -231,10 +231,10 @@ def test_scan_tables_against_direct_predicates(q, n):
         assert tables.divisors[tables.ord_idx[c]] == fq_order(a)
         assert gen ** tables.log_codes[c] == a
         orders[c] = index[fq_order(a)]
-    want = Counter(
-        (orders[c], ctx.N // mult_order(a), orders[a.inv().code()])
-        for c, a in ((c, ctx.from_code(c)) for c in range(1, ctx.order))
-    )
+    want = Counter()
+    for c in range(1, ctx.order):
+        a = ctx.from_code(c)
+        want[orders[c], ctx.N // mult_order(a), orders[a.inv().code()]] += 1
     assert tables.profile == want
 
 
