@@ -59,7 +59,6 @@ class _CharTables:
     """Per-context tables shared by every character evaluation."""
 
     def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
         # the table engine's dlog walk and order table; log_codes[0] is -1,
         # and every caller rejects zero before it looks it up
         scan = scan_tables(ctx)
@@ -68,6 +67,8 @@ class _CharTables:
         lattice = divisor_lattice(ctx)
         self.divisors = lattice.divisors
         self.div_index = lattice.div_index
+        # divisor_index(g, name): the index of g.monic(), or NotADivisor
+        self.divisor_index = lattice.index
         self.phi_q = lattice.phi_q
         self.mu_prime = lattice.mu_prime
         self.sub_divisors = lattice.sub_divisors
@@ -83,8 +84,7 @@ class _CharTables:
         self.int_divs = {d: [c for c in self.phi if d % c == 0] for d in self.phi}
         # add_sums[h][o] = S(h, a) for every a of order index o: h/delta has
         # exponents max(0, h_j + o_j - e_j) over the factors f_j^e_j of x^n - 1
-        vecs = lattice.vecs
-        at = {v: i for i, v in enumerate(vecs)}
+        vecs, at = lattice.vecs, lattice.vec_index
         top = vecs[lattice.top]
         self.add_sums = []
         for h, hv in enumerate(vecs):
@@ -100,15 +100,6 @@ class _CharTables:
     def add_order_table(self) -> list[int]:
         """For each shift code y, the index of the F_q-order of psi_y."""
         return self._order_table
-
-    def divisor_index(self, g: PolyQ) -> int:
-        """Index of the monic form of g among the divisors of x^n - 1."""
-        if not isinstance(g, PolyQ) or g.fq != self.ctx.fq:
-            raise CtxMismatch("polynomials live over different subfields")
-        idx = self.div_index.get(g.monic())
-        if idx is None:
-            raise NotADivisor(f"{g!r} does not divide x^n - 1")
-        return idx
 
     # -- slot sums -------------------------------------------------------------
     def mult_char_sum(self, m: int, e_log: int) -> int:
@@ -204,14 +195,14 @@ def rho_e(a: FieldElement, e: int) -> Fraction:
 def upsilon_g(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of g-freeness."""
     tab = _charfun_tables(a.ctx)
-    g_idx = tab.divisor_index(g)
+    g_idx = tab.divisor_index(g, "g")
     return Fraction(tab.add_free_sum(g_idx, a.code()), a.ctx.q ** tab.divisors[g_idx].degree)
 
 
 def psi_set(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of membership in the image of (g o .)."""
     tab = _charfun_tables(a.ctx)
-    g_idx = tab.divisor_index(g)
+    g_idx = tab.divisor_index(g, "g")
     code = a.code()
     total = sum(tab.add_char_sum(idx, code) for idx in tab.sub_divisors[g_idx])
     return Fraction(total, a.ctx.q ** tab.divisors[g_idx].degree)
@@ -241,16 +232,16 @@ def q_gH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> Fraction:
     """Character-sum indicator of membership in T_{g,k}^H."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
-    H_idx = tab.divisor_index(H)
-    if H_idx not in tab.sub_divisors[tab.divisor_index(gd.G)]:
+    H_idx = tab.divisor_index(H, "H")
+    if H_idx not in tab.sub_divisors[tab.divisor_index(gd.G, "G")]:
         raise NotADivisor("H does not divide G")
     code = a.code()
     num = tab.add_free_sum(H_idx, code)
-    num *= sum(tab.add_char_sum(idx, code) for idx in tab.sub_divisors[tab.divisor_index(gd.pi)])
+    num *= sum(tab.add_char_sum(idx, code) for idx in tab.sub_divisors[tab.divisor_index(gd.pi, "pi")])
     den = ctx.q ** (tab.divisors[H_idx].degree + gd.g.degree)
     for f_i, _, _, lam in gd.parts:
         qdeg = ctx.q**f_i.degree
-        lam_idx = tab.divisor_index(lam)
+        lam_idx = tab.divisor_index(lam, "Lambda")
         # the ell weights -1/q^deg f_i (h = Lambda_i) and (q^deg f_i - 1)/q^deg f_i, times q^deg f_i
         num *= sum((-1 if idx == lam_idx else qdeg - 1) * tab.add_char_sum(idx, code)
                    for idx in tab.sub_divisors[lam_idx])

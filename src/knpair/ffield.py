@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import repeat
-from operator import xor
+from operator import add, mul, xor
 
 from . import _polyops
 from .errors import (
@@ -315,38 +315,40 @@ class FieldCtx:
         out = _polyops.pow_mod(self.fq, _polyops.trim(list(a)), e, self.ext_modulus)
         return tuple(out + [0] * (self.n - len(out)))
 
-    # -- Frobenius x -> x^q as an F_q-linear map ------------------------------
-    def _build_frob_basis(self) -> list[list[int]]:
-        """Images of the power basis under x -> x^q, as coefficient lists."""
-        images = []
-        for j in range(self.n):
-            xj = [0] * j + [self.fq.one]
-            img = _polyops.pow_mod(self.fq, xj, self.q, self.ext_modulus)
-            images.append(img + [0] * (self.n - len(img)))
-        return images
+    # -- F_q-linear maps as column matrices ----------------------------------
+    def _combine(self, coeffs, columns) -> tuple:
+        """sum_j coeffs[j] * columns[j mod len(columns)], each column an element.
 
-    def _apply_linear(self, images: list[list[int]], v: tuple) -> tuple:
-        add, mul = self.fq.add, self.fq.mul
-        out = [0] * self.n
-        for j, c in enumerate(v):
-            if c == 0:
-                continue
-            col = images[j]
-            if c == 1:
-                for i in range(self.n):
-                    if col[i]:
-                        out[i] = add(out[i], col[i])
-            else:
-                for i in range(self.n):
-                    if col[i]:
-                        out[i] = add(out[i], mul(c, col[i]))
-        return tuple(out)
+        With columns[j] the image of x^j under an F_q-linear map L, this is L
+        at the element with coefficients coeffs; with columns the Frobenius
+        orbit of b, it is g o b for the polynomial with coefficients coeffs.
+        The wrap reads sigma^n as sigma^0, so x^n - 1 acts as zero.  For
+        t = 1 the sums are plain ints, reduced mod p once.
+        """
+        fq, m, plain = self.fq, len(columns), self.t == 1
+        fadd, fmul = (add, mul) if plain else (fq.add, fq.mul)
+        acc = (0,) * self.n
+        for j, c in enumerate(coeffs):
+            if c:
+                acc = tuple(map(fadd, acc, map(fmul, columns[j % m], repeat(c))))
+        return tuple(x % self.p for x in acc) if plain else acc
+
+    def _build_frob_powers(self) -> list[list[tuple]]:
+        """Row i, for i < n, is the matrix of sigma^i: [sigma^i(x^j) for j < n].
+
+        sigma's columns are x^(jq) mod the modulus; row i applies them to row
+        i - 1, starting from the identity."""
+        n, fq = self.n, self.fq
+        sigma = [_polyops.pow_mod(fq, [0] * j + [1], self.q, self.ext_modulus) for j in range(n)]
+        sigma = [tuple(col + [0] * (n - len(col))) for col in sigma]
+        rows = [[tuple(int(i == j) for i in range(n)) for j in range(n)]]
+        while len(rows) < n:
+            rows.append([self._combine(col, sigma) for col in rows[-1]])
+        return rows
 
     def _frob(self, a: tuple, i: int = 1) -> tuple:
-        images = self.memo(FieldCtx._build_frob_basis)
-        for _ in range(i % self.n):
-            a = self._apply_linear(images, a)
-        return a
+        """a^(q^i), one product with the matrix of sigma^(i mod n)."""
+        return self._combine(a, self.memo(FieldCtx._build_frob_powers)[i % self.n])
 
     # -- absolute trace -------------------------------------------------------
     def _trace_table(self) -> list[int]:

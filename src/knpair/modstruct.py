@@ -1,14 +1,19 @@
 """The F_q[x]-module structure on F_{q^n}.
 
 The additive group of F_{q^n} is an F_q[x]-module under
-h o b = sum a_i b^(q^i); every element is annihilated by x^n - 1.  This
-module provides the divisor lattice of x^n - 1, the action itself, the
-matrix of g(sigma) (action_columns) and an echelon basis of ker h(sigma)
-(kernel_basis), the only way the engines obtain either, the minimal
-annihilating divisor (fq_order), k-normality, the freeness tests,
-the multiplicative and module-theoretic decompositions of r and g, and
-membership tests for the element classes the counting machinery
-quantifies over.
+h o b = sum h_i b^(q^i); every element is annihilated by x^n - 1.  The
+action is F_q-linear in b, so each h(sigma) is a matrix on the power
+basis, and FieldCtx._combine is the one routine that applies it: to the
+columns of the matrix, or to the Frobenius orbit of b.  This module
+provides the divisor lattice of x^n - 1, the action itself, the matrix of
+g(sigma) (action_columns, read off the context's powers of sigma on the
+power basis) and an echelon basis of ker h(sigma) (kernel_basis), the
+only way the engines obtain either, the minimal annihilating divisor
+(fq_order), k-normality, the freeness tests, the multiplicative and
+module-theoretic decompositions of r and g, and membership tests for the
+element classes the counting machinery quantifies over.  fq_order, m_poly
+and m_gcd_degree keep their orbit-and-polynomial forms: they are the
+oracles the engines are checked against.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ class DivisorLattice:
 
     def __init__(self, ctx: FieldCtx):
         fact = xn1_factorization(ctx)
+        self.fq = ctx.fq
         self.factors = factors = fact.factors
         one = PolyQ.one(ctx.fq)
         # odometer position of a vector a is sum a_j * stride[j], the order
@@ -84,6 +90,7 @@ class DivisorLattice:
         self.divisors = [polys[i] for i in order]
         self.vecs = [vecs[i] for i in order]
         self.div_index = {h: idx for idx, h in enumerate(self.divisors)}
+        self.vec_index = {v: idx for idx, v in enumerate(self.vecs)}
         self.top = index_at[count - 1]
         q = ctx.q
         self.quot, self.phi_q, self.mu_prime, self.sub_divisors = [], [], [], []
@@ -99,6 +106,16 @@ class DivisorLattice:
             self.mu_prime.append(0 if any(a > 1 for a in vec) else (-1) ** sum(vec))
             self.sub_divisors.append([index_at[t] for t in subs])
 
+    def index(self, poly: PolyQ, name: str) -> int:
+        """Index of poly.monic(); CtxMismatch for anything but a polynomial over
+        this F_q, NotADivisor when it does not divide x^n - 1."""
+        if not isinstance(poly, PolyQ) or poly.fq != self.fq:
+            raise CtxMismatch("polynomial and field live over different F_q")
+        idx = self.div_index.get(poly.monic())
+        if idx is None:
+            raise NotADivisor(f"{name} does not divide x^n - 1")
+        return idx
+
 
 def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
     return ctx.memo(DivisorLattice)
@@ -109,19 +126,7 @@ def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
 def frobenius_orbit(ctx: FieldCtx, coeffs: tuple) -> list[tuple]:
     """[b, b^q, ..., b^(q^(n-1))] as raw coefficient tuples, for the element b
     with these coefficients."""
-    orbit = [coeffs]
-    for _ in range(ctx.n - 1):
-        orbit.append(ctx._frob(orbit[-1]))
-    return orbit
-
-
-def action_coeffs(ctx: FieldCtx, g_coeffs: tuple, orbit: list[tuple]) -> tuple:
-    n = ctx.n
-    acc = (0,) * n
-    for i, c in enumerate(g_coeffs):
-        if c:
-            acc = ctx._add(acc, ctx._scale(orbit[i % len(orbit)], c))
-    return acc
+    return [coeffs] + [ctx._frob(coeffs, i) for i in range(1, ctx.n)]
 
 
 def mod_action(g: PolyQ, b: FieldElement) -> FieldElement:
@@ -129,21 +134,16 @@ def mod_action(g: PolyQ, b: FieldElement) -> FieldElement:
     ctx = b.ctx
     if g.fq != ctx.fq:
         raise CtxMismatch("polynomial and element live over different F_q")
-    return FieldElement(ctx, action_coeffs(ctx, g.coeffs, frobenius_orbit(ctx, b.coeffs)))
-
-
-def _power_basis_orbits(ctx: FieldCtx) -> list[list[tuple]]:
-    """The Frobenius orbit of each x^j, j < n."""
-    n = ctx.n
-    return [frobenius_orbit(ctx, tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+    return FieldElement(ctx, ctx._combine(g.coeffs, frobenius_orbit(ctx, b.coeffs)))
 
 
 def action_columns(ctx: FieldCtx, g_coeffs: tuple) -> list[tuple]:
     """The matrix of g(sigma) on the power basis: column j is g o x^j.
 
-    ``action_coeffs(ctx, v, columns)`` is then g o v for the element with
-    coefficients v."""
-    return [action_coeffs(ctx, g_coeffs, orbit) for orbit in ctx.memo(_power_basis_orbits)]
+    It reads the context's powers of sigma on the power basis, so the orbit
+    of x^j is [sigma^i(x^j) for i < n].  ``ctx._combine(v, columns)`` is
+    then g o v for the element with coefficients v."""
+    return [ctx._combine(g_coeffs, orbit) for orbit in zip(*ctx.memo(FieldCtx._build_frob_powers))]
 
 
 def kernel_basis(ctx: FieldCtx, h_coeffs: tuple) -> list[tuple]:
@@ -225,7 +225,7 @@ def fq_order(a: FieldElement) -> PolyQ:
     for f, e in fact.factors:
         for _ in range(e):
             cand = h // f
-            if action_coeffs(ctx, cand.coeffs, orbit) == zero:
+            if ctx._combine(cand.coeffs, orbit) == zero:
                 h = cand
             else:
                 break

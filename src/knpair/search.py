@@ -10,8 +10,12 @@ enumerates ker h(sigma) from an echelon basis, which comes out in code
 order, keeps the elements that no (h/f)(sigma) with f a prime factor of h
 sends to zero, and merges these streams by code.  Each candidate then has
 its inverse's k-normality checked by descent through the lattice's
-quotients, and its exact order last.  direct_search walks every beta in
-code order with the same per-element predicates.  The table engine builds,
+quotients, and its exact order last.  The descent and the streams apply
+the matrix of each divisor's h(sigma), built once per context
+(_divisor_matrices): one matrix-vector product per quotient, no Frobenius
+orbit.  direct_search walks, in code order, the beta whose constant
+coefficient is 0, which give every alpha = beta^q - beta, with the same
+per-element predicates.  The table engine builds,
 once per context, the F_q-order table first and then one discrete-log
 walk.  The F_q-order table starts at the index of x^n - 1, whose kernel is
 the whole field, and walks the echelon bases of every other ker h(sigma)
@@ -39,15 +43,13 @@ from itertools import chain, repeat
 from math import gcd as int_gcd
 from operator import mul
 
-from .errors import CtxMismatch, FieldTooLarge, NotADivisor, RNotDivisor
+from .errors import FieldTooLarge, NotADivisor, RNotDivisor
 from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
 from .fqpoly import PolyQ
 from .modstruct import (
-    action_coeffs,
     action_columns,
     decompose_r,
     divisor_lattice,
-    frobenius_orbit,
     k_normality,
     kernel_basis,
     m_gcd_degree,
@@ -67,6 +69,11 @@ class SearchOutcome:
 
 # -- per-context scaffolding -----------------------------------------------------
 
+def _divisor_matrices(ctx: FieldCtx) -> list[list[tuple]]:
+    """The matrix of h(sigma) (modstruct.action_columns) of every lattice divisor h, by index."""
+    return [action_columns(ctx, h.coeffs) for h in divisor_lattice(ctx).divisors]
+
+
 class _Predicates:
     """Streaming per-element predicate kit for one context."""
 
@@ -77,17 +84,18 @@ class _Predicates:
         self.factors = lattice.factors
         self.quot = lattice.quot
         self.top = lattice.top
+        self.matrices = ctx.memo(_divisor_matrices)
         self.zero = (0,) * ctx.n
 
     def ord_divisor_index(self, coeffs: tuple) -> int:
-        """Index of the F_q-order of the element with these coefficients."""
-        ctx = self.ctx
-        orbit = frobenius_orbit(ctx, coeffs)
+        """Index of the F_q-order of the element with these coefficients, by
+        descent from x^n - 1: one product with each quotient's matrix."""
+        combine, matrices, quot, zero = self.ctx._combine, self.matrices, self.quot, self.zero
         cur = self.top
         for j, (_, e) in enumerate(self.factors):
             for _ in range(e):
-                nxt = self.quot[cur][j]
-                if nxt < 0 or action_coeffs(ctx, self.divisors[nxt].coeffs, orbit) != self.zero:
+                nxt = quot[cur][j]
+                if nxt < 0 or combine(coeffs, matrices[nxt]) != zero:
                     break
                 cur = nxt
         return cur
@@ -107,11 +115,7 @@ class _Predicates:
         """
         ctx = self.ctx
         basis = kernel_basis(ctx, self.divisors[idx].coeffs)
-        images = []
-        for j in self.quot[idx]:
-            if j >= 0:
-                columns = action_columns(ctx, self.divisors[j].coeffs)
-                images.append([action_coeffs(ctx, v, columns) for v in basis])
+        images = [[ctx._combine(v, self.matrices[j]) for v in basis] for j in self.quot[idx] if j >= 0]
         weights = [ctx.q**i for i in range(ctx.n)]
         for alpha in _span(ctx, basis, images):
             yield sum(map(mul, alpha, weights)), alpha
@@ -295,14 +299,18 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
     Accepts the first beta whose alpha is nonzero with
     deg gcd(m_alpha, x^n - 1) = deg gcd(m_{alpha^-1}, x^n - 1) = 1 and
     ord(alpha) = q^n - 1 (the gcd degree is evaluated as 1-normality of the
-    element, which is the same quantity)."""
+    element, which is the same quantity).
+
+    beta + c gives the same alpha for every c in F_q, and of these beta - beta_0
+    has the least code, so only the beta with beta_0 = 0 are walked: every
+    q-th code.  ``scanned`` is the codes up to the first hit, hit + 1, or q^n
+    when there is none."""
     ctx = field_for(q, n)
     _ceiling_check(ctx, ceiling_bits)
     preds = _Predicates(ctx)
     t0 = time.perf_counter()
-    hit, scanned = None, 0
-    for code in range(ctx.order):
-        scanned += 1
+    hit = None
+    for code in range(0, ctx.order, ctx.q):
         beta = ctx.from_code(code).coeffs
         alpha = ctx._sub(ctx._frob(beta), beta)
         if all(c == 0 for c in alpha):
@@ -317,12 +325,12 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
             break
     elapsed = time.perf_counter() - t0
     if hit is None:
-        return SearchOutcome(False, None, scanned, elapsed)
+        return SearchOutcome(False, None, ctx.order, elapsed)
     beta = ctx.from_code(hit)
     alpha = beta.frob() - beta
     if not pair_verified(alpha, 1, 1):
         raise AssertionError("witness failed independent re-verification")
-    return SearchOutcome(True, alpha, scanned, elapsed)
+    return SearchOutcome(True, alpha, hit + 1, elapsed)
 
 
 # -- exact counting ---------------------------------------------------------------
@@ -330,13 +338,8 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
 def _exponents(ctx: FieldCtx, name: str, poly: PolyQ) -> tuple[int, ...]:
     """The exponent vector of poly.monic() in the divisor lattice of x^n - 1;
     NotADivisor when it is not a divisor."""
-    if poly.fq != ctx.fq:
-        raise CtxMismatch("polynomial and field live over different F_q")
     lattice = divisor_lattice(ctx)
-    idx = lattice.div_index.get(poly.monic())
-    if idx is None:
-        raise NotADivisor(f"{name} does not divide x^n - 1")
-    return lattice.vecs[idx]
+    return lattice.vecs[lattice.index(poly, name)]
 
 
 def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
@@ -402,8 +405,7 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
     raised when that is not a divisor of x^n - 1."""
     gv = _exponents(ctx, "g", g)
     lattice = divisor_lattice(ctx)
-    q, top = ctx.q, lattice.vecs[lattice.top]
-    index_of = {v: idx for idx, v in enumerate(lattice.vecs)}
+    q, top, index_of = ctx.q, lattice.vecs[lattice.top], lattice.vec_index
 
     def preimage_orders(a_idx: int) -> list[tuple[int, int]]:
         """(ord-idx of beta, count) over the preimages of one alpha of order a_idx,

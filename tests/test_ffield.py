@@ -418,6 +418,8 @@ def test_field_axioms_on_towers(p, t, n, data):
     assert a - b + b == a and a + -a == ctx.zero()
     assert a ** (ctx.q**n) == a
     assert ctx._frob(a.coeffs) == ctx._pow(a.coeffs, ctx.q)
+    assert [ctx._frob(a.coeffs, i) for i in range(2 * n + 1)] == [
+        ctx._pow(a.coeffs, ctx.q**i) for i in range(2 * n + 1)]
     power = one
     for _ in range(e):
         power = power * a

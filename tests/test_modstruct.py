@@ -1,12 +1,13 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from sympy.polys.domains import GF, ZZ
 from sympy.polys.galoistools import gf_pow_mod
 from sympy.polys.matrices import DomainMatrix
 
-from knpair import modstruct
+from knpair import search
 from knpair.characters import psi_set, q_gH, upsilon_g
 from knpair.errors import NotADivisor, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
@@ -365,10 +366,12 @@ def test_divisor_lattice_against_factoring(q, n):
     index = {h: i for i, h in enumerate(divs)}
     assert lattice.divisors == divs
     assert lattice.div_index == index
+    assert lattice.vec_index == {v: i for i, v in enumerate(lattice.vecs)}
     assert lattice.top == index[poly]
     irreducibles = xn1_factorization(ctx).irreducibles
     for i, h in enumerate(divs):
         fact = factor_poly(h)
+        assert lattice.index(h, "h") == lattice.index(h * PolyQ(ctx.fq, (q - 1,)), "h") == i
         assert lattice.phi_q[i] == fact.phi_q()
         assert lattice.mu_prime[i] == fact.moebius_prime()
         assert lattice.sub_divisors[i] == [index[d] for d in divisors_of(h)]
@@ -415,14 +418,27 @@ def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
 
 
 def test_power_basis_orbits_built_once(monkeypatch):
-    # action_columns reads the Frobenius orbits of x^0..x^(n-1) from the
-    # context's memo, so every divisor's kernel basis shares one build
+    # the powers of sigma on the power basis (the Frobenius orbits of
+    # x^0..x^(n-1)) and the matrices of h(sigma) for every lattice divisor
+    # live on the context's memo: every kernel basis, both searches and the
+    # table build share one build of each
     base = field_for(4, 6)
     ctx = FieldCtx(base.fq, base.n, base.ext_modulus)  # fresh memo
-    built = []
-    real = modstruct.frobenius_orbit
-    monkeypatch.setattr(modstruct, "frobenius_orbit", lambda c, v: built.append(v) or real(c, v))
+    builds = Counter()
+
+    def counted(name, real):
+        def build(c):
+            builds[name] += 1
+            return real(c)
+        return build
+
+    monkeypatch.setattr(FieldCtx, "_build_frob_powers", counted("powers", FieldCtx._build_frob_powers))
+    monkeypatch.setattr(search, "_divisor_matrices", counted("matrices", search._divisor_matrices))
+    monkeypatch.setattr(search, "field_for", lambda q, n: ctx)
     lattice = divisor_lattice(ctx)
     for h in lattice.divisors:
         assert len(kernel_basis(ctx, h.coeffs)) == h.degree
-    assert len(built) == ctx.n
+    assert not search.search_pair(4, 6, 1, 1).found
+    assert search.search_pair(4, 6, 3, 0).found
+    assert search.scan_tables(ctx).ord_idx[0] == 0
+    assert builds == {"powers": 1, "matrices": 1}

@@ -156,6 +156,23 @@ def test_enumeration_ceiling():
         search_pair(2, 5, 1, 1, ceiling_bits=4)
 
 
+@pytest.mark.parametrize("q,n", SMALL_GRID + [(2, 5), (2, 7), (3, 5), (3, 6), (9, 4), (4, 5), (5, 4)])
+def test_direct_search_against_straight_loop(q, n):
+    # every beta in code order, alpha = beta^q - beta by a power, judged by
+    # mult_order and k_normality alone
+    ctx = field_for(q, n)
+    want = (False, None, ctx.order)
+    for code in range(ctx.order):
+        beta = ctx.from_code(code)
+        alpha = beta**q - beta
+        if (not alpha.is_zero() and k_normality(alpha) == 1 and k_normality(alpha.inv()) == 1
+                and mult_order(alpha) == ctx.N):
+            want = (True, alpha.code(), code + 1)
+            break
+    out = direct_search(q, n)
+    assert (out.found, out.witness.code() if out.found else None, out.scanned) == want
+
+
 def test_direct_search_agrees_with_search_pair():
     # Algorithm 2's beta^q - beta sweep vs the exhaustive pair search
     for q, n in [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 5), (5, 3), (5, 4)]:
