@@ -5,6 +5,10 @@ side of "does not hold": integer/rational sides are compared exactly
 (squaring away half-integer exponents), and the asymptotic thresholds that
 involve the irrational constant C_nu are evaluated in high-precision logs
 with a margin requirement, never optimistically.
+
+Seeds are read off the field's two factorizations, never factored again: g,
+h and H as exponent vectors over x^n - 1 (modstruct.exponents), R and d as
+primes of q^n - 1.  One routine, _sieve_report, turns D into the verdict.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import prod
 
 from .errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from .ffield import FieldCtx, field_for
-from .fqpoly import PolyQ, degree_k_divisors, factor_poly, w_poly
+from .fqpoly import PolyQ, degree_k_divisors, factor_poly
 from .intarith import c_nu, factor_int, is_prime, rad_int
-from .modstruct import decompose_g, decompose_r, xn1, xn1_factorization
+from .modstruct import decompose_g, decompose_r, exponents, xn1, xn1_factorization
 
 LOG_GUARD_BITS = 80  # margin (in bits) required before a log-space "holds"
 
@@ -80,11 +85,6 @@ def _half_power_value(q: int, twice_exponent: int):
     return float(q) ** (twice_exponent / 2)
 
 
-def _w_int_cofactor(fact, avoid: int) -> int:
-    """W of the part of fact coprime to avoid (2^count of surviving primes)."""
-    return 1 << sum(1 for p in fact.primes if avoid % p)
-
-
 def _select_g(ctx: FieldCtx, k: int, g: PolyQ | None) -> PolyQ:
     if g is not None:
         if g.degree != k or not g.monic().divides(xn1(ctx)):
@@ -110,10 +110,9 @@ def basic_inequality(q: int, n: int, r: int, k: int, g: PolyQ | None = None,
     g = _select_g(ctx, k, g)
     rd = decompose_r(r, ctx)
     gd = decompose_g(g, ctx)
-    fact_x = xn1_factorization(ctx)
-    w_x = fact_x.W()
-    w_R = _w_int_cofactor(ctx.fact_qn_minus_1, rad_int(r))
-    w_G = 1 << sum(1 for f in fact_x.irreducibles if not f.divides(g))
+    w_x = xn1_factorization(ctx).W()
+    w_R = 1 << sum(1 for p in ctx.fact_qn_minus_1.primes if r % p)  # R = rad(q^n - 1)/rad(r)
+    w_G = 1 << exponents(ctx, g, "g").count(0)  # G = rad(x^n - 1)/rad(g)
     theta = theta_for(q, n, k, theta_mult)
     if form == "eq10_simplified":
         rhs = Fraction(2 * r * rad_int(r) * w_x * w_R * w_G)
@@ -211,46 +210,54 @@ def rho_ratio(q: int, n_prime: int) -> Fraction:
     return Fraction(count, n_prime)
 
 
+def _exact_D(q: int, primes, polys) -> Fraction:
+    """1 - sum 1/p over the primes - sum q^-deg f over the polynomials."""
+    return Fraction(1) - sum(Fraction(1, p) for p in primes) - sum(Fraction(1, q**f.degree) for f in polys)
+
+
+def _sieve_report(q: int, n: int, theta: int, weight: int, h, d: int, H, l1: tuple, l2: tuple,
+                  l3: tuple, D: Fraction, inputs: tuple, unlisted: int = 0) -> SieveReport:
+    """The one sieve verdict: vacuous when D <= 0, else, over the l1, l2 and l3
+    terms and `unlisted` modelled ones, S = (terms - 1)/D + 2 and the
+    verdict is q^(n/2 - theta) > weight * S."""
+    twice = n - 2 * theta
+    lhs = _half_power_value(q, twice)
+    if D <= 0:
+        return SieveReport(h, d, H, l1, l2, l3, D, None, BoundVerdict(lhs, None, False, theta, inputs))
+    S = Fraction(len(l1) + len(l2) + len(l3) + unlisted - 1) / D + 2
+    rhs = weight * S
+    verdict = BoundVerdict(lhs, rhs, _half_power_gt(q, twice, rhs), theta, inputs)
+    return SieveReport(h, d, H, l1, l2, l3, D, S, verdict)
+
+
 def sieve_terms(q: int, n: int, r: int, k: int, h: PolyQ, d: int, H: PolyQ,
                 g: PolyQ | None = None, theta_mult: int | None = None) -> SieveReport:
-    """Exact sieve terms for seeds (h, d, H) and the resulting verdict."""
+    """Exact sieve terms for seeds (h, d, H) and the resulting verdict.  R is
+    squarefree, so l1 and W(d) read the primes of q^n - 1; G has exponent 1
+    exactly where g has 0."""
     ctx = field_for(q, n)
     if r < 1 or ctx.N % r:
         raise NotADivisor(f"r = {r} does not divide q^n - 1")
     g = _select_g(ctx, k, g)
     rd = decompose_r(r, ctx)
-    gd = decompose_g(g, ctx)
-    poly = xn1(ctx)
-    h = h.monic()
-    H = H.monic()
-    if h.is_zero() or not h.divides(poly):
-        raise NotADivisor("h does not divide x^n - 1")
-    if rd.R % d:
+    gv, hv = exponents(ctx, g, "g"), exponents(ctx, h, "h")
+    if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
-    if H.is_zero() or not H.divides(gd.G):
+    Hv = exponents(ctx, H, "H")
+    if any(Hj > (gj == 0) for Hj, gj in zip(Hv, gv)):
         raise NotADivisor("H does not divide G")
-    fact_x = xn1_factorization(ctx)
-    l1 = tuple(p for p in factor_int(rd.R).primes if d % p)
-    l2 = tuple(f for f in fact_x.irreducibles if f.divides(gd.G) and not f.divides(H))
-    l3 = tuple(f for f in fact_x.irreducibles if not f.divides(h))
-    D = Fraction(1)
-    for p in l1:
-        D -= Fraction(1, p)
-    for f in l2:
-        D -= Fraction(1, q**f.degree)
-    for f in l3:
-        D -= Fraction(1, q**f.degree)
-    theta = theta_for(q, n, k, theta_mult)
+    primes_R = [p for p in ctx.fact_qn_minus_1.primes if rd.R % p == 0]
+    irreducibles = xn1_factorization(ctx).irreducibles
+    l1 = tuple(p for p in primes_R if d % p)
+    l2 = tuple(f for f, gj, Hj in zip(irreducibles, gv, Hv) if gj == 0 and not Hj)
+    l3 = tuple(f for f, hj in zip(irreducibles, hv) if not hj)
+    # W(h) W(d) W(H) = 2^(factors of h + primes of d + factors of H)
+    omega = sum(map(bool, hv)) + len(primes_R) - len(l1) + sum(map(bool, Hv))
+    weight = 2 * r * rad_int(r) << omega
+    h, H = h.monic(), H.monic()
     inputs = (("q", q), ("n", n), ("r", r), ("k", k), ("h", h), ("d", d), ("H", H), ("g", g))
-    if D <= 0:
-        verdict = BoundVerdict(_half_power_value(q, n - 2 * theta), None, False, theta, inputs)
-        return SieveReport(h, d, H, l1, l2, l3, D, None, verdict)
-    S = Fraction(len(l1) + len(l2) + len(l3) - 1) / D + 2
-    rhs = Fraction(2 * r * rad_int(r)) * w_poly(h) * factor_int(d).W() * w_poly(H) * S
-    twice = n - 2 * theta
-    holds = _half_power_gt(q, twice, rhs)
-    verdict = BoundVerdict(_half_power_value(q, twice), rhs, holds, theta, inputs)
-    return SieveReport(h, d, H, l1, l2, l3, D, S, verdict)
+    return _sieve_report(q, n, theta_for(q, n, k, theta_mult), weight, h, d, H, l1, l2, l3,
+                         _exact_D(q, l1, l2 + l3), inputs)
 
 
 @dataclass(frozen=True)
@@ -275,40 +282,21 @@ def test_sieve(q: int, n: int, theta: int) -> SieveSearchOutcome:
     ctx = field_for(q, n)
     fq = ctx.fq
     x_minus_1 = PolyQ(fq, (fq.neg(fq.one), fq.one))
-    fact_N = ctx.fact_qn_minus_1
-    primes = sorted(fact_N.primes)
-    fact_x = xn1_factorization(ctx)
-    others = sorted((f for f in fact_x.irreducibles if f != x_minus_1), key=lambda f: f.sort_key())
-    twice = n - 2 * theta
+    primes = sorted(ctx.fact_qn_minus_1.primes)
+    others = sorted((f for f in xn1_factorization(ctx).irreducibles if f != x_minus_1), key=PolyQ.sort_key)
     tried = 0
     for a in range(len(primes) + 1):
-        d = 1
-        for p in primes[:a]:
-            d *= p
-        rem_primes = primes[a:]
-        sum_l1 = sum(Fraction(1, p) for p in rem_primes)
+        d = prod(primes[:a])
+        rem_primes = tuple(primes[a:])
         for b in range(len(others) + 1):
             tried += 1
-            H = PolyQ.one(fq)
-            for f in others[:b]:
-                H = H * f
+            H = prod(others[:b], start=PolyQ.one(fq))
             l2 = tuple(others[b:])
             l3 = l2 + (x_minus_1,)
-            D = Fraction(1) - sum_l1
-            for f in l2:
-                D -= Fraction(1, q**f.degree)
-            for f in l3:
-                D -= Fraction(1, q**f.degree)
-            if D <= 0:
-                continue
-            S = Fraction(len(rem_primes) + len(l2) + len(l3) - 1) / D + 2
-            W_d = 1 << a
-            W_H = 1 << b
-            rhs = Fraction(2 * W_d * W_H * W_H) * S
-            if _half_power_gt(q, twice, rhs):
-                inputs = (("q", q), ("n", n), ("theta", theta), ("d", d), ("H", H))
-                verdict = BoundVerdict(_half_power_value(q, twice), rhs, True, theta, inputs)
-                report = SieveReport(H, d, H, tuple(rem_primes), l2, l3, D, S, verdict)
+            inputs = (("q", q), ("n", n), ("theta", theta), ("d", d), ("H", H))
+            report = _sieve_report(q, n, theta, 2 << (a + 2 * b), H, d, H, rem_primes, l2, l3,
+                                   _exact_D(q, rem_primes, l2 + l3), inputs)
+            if report.verdict.holds:
                 return SieveSearchOutcome(True, report, tried)
     return SieveSearchOutcome(False, None, tried)
 
@@ -321,6 +309,8 @@ def lemma54_eval(q: int, n: int, d: int, n0: int, theta: int) -> SieveReport:
     lower bound D >= 1 - S_l - (2n-1)/q and S <= (l + 2n - 2)/D + 2;
     the verdict evaluates q^(n/2 - theta) > 2 W(d) S.
     """
+    if n0 < 1:
+        raise ValueError(f"n0 = {n0} must be at least 1")
     budget_num = q**n - 1
     if d < 1 or budget_num % d:
         raise NotADivisor(f"d = {d} does not divide q^n - 1")
@@ -341,12 +331,6 @@ def lemma54_eval(q: int, n: int, d: int, n0: int, theta: int) -> SieveReport:
     l = len(taken)
     D = Fraction(1) - S_l - Fraction(2 * n - 1, q)
     inputs = (("q", q), ("n", n), ("d", d), ("n0", n0), ("theta", theta), ("l", l))
-    twice = n - 2 * theta
-    if D <= 0:
-        verdict = BoundVerdict(_half_power_value(q, twice), None, False, theta, inputs)
-        return SieveReport(1, d, 1, tuple(taken), (), (), D, None, verdict)
-    S = Fraction(l + 2 * n - 2) / D + 2
-    rhs = Fraction(2 * factor_int(d).W()) * S
-    holds = _half_power_gt(q, twice, rhs)
-    verdict = BoundVerdict(_half_power_value(q, twice), rhs, holds, theta, inputs)
-    return SieveReport(1, d, 1, tuple(taken), (), (), D, S, verdict)
+    # the 2n - 1 polynomial terms are modelled, not listed
+    return _sieve_report(q, n, theta, 2 * factor_int(d).W(), 1, d, 1, tuple(taken), (), (), D,
+                         inputs, unlisted=2 * n - 1)

@@ -204,12 +204,6 @@ class PolyFactorization:
     def W(self) -> int:
         return 1 << len(self.factors)
 
-    def exponent_of(self, f: PolyQ) -> int:
-        for g, e in self.factors:
-            if g == f:
-                return e
-        return 0
-
 
 def _pth_root(f: PolyQ) -> PolyQ:
     """p-th root of a polynomial whose exponents are all multiples of p."""
@@ -338,10 +332,6 @@ def arith_poly(f: PolyQ, which: str):
 
 def phi_q(f: PolyQ) -> int:
     return arith_poly(f, "phi_q")
-
-
-def w_poly(f: PolyQ) -> int:
-    return arith_poly(f, "W")
 
 
 def divisors_of(f: PolyQ, filter_kind: str = "all_monic", k: int | None = None, ceiling: int = DIVISOR_CEILING) -> list[PolyQ]:

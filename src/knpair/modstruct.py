@@ -5,15 +5,16 @@ h o b = sum h_i b^(q^i); every element is annihilated by x^n - 1.  The
 action is F_q-linear in b, so each h(sigma) is a matrix on the power
 basis, and FieldCtx._combine is the one routine that applies it: to the
 columns of the matrix, or to the Frobenius orbit of b.  This module
-provides the divisor lattice of x^n - 1, the action itself, the matrix of
-g(sigma) (action_columns, read off the context's powers of sigma on the
-power basis) and an echelon basis of ker h(sigma) (kernel_basis), the
-only way the engines obtain either, the minimal annihilating divisor
-(fq_order), k-normality, the freeness tests, the multiplicative and
-module-theoretic decompositions of r and g, and membership tests for the
-element classes the counting machinery quantifies over.  fq_order, m_poly
-and m_gcd_degree keep their orbit-and-polynomial forms: they are the
-oracles the engines are checked against.
+provides the divisor lattice of x^n - 1, one divisor's exponent vector
+(exponents), the action itself, the matrix of g(sigma) (action_columns,
+read off the context's powers of sigma on the power basis) and an echelon
+basis of ker h(sigma) (kernel_basis), the only way the engines obtain
+either, the minimal annihilating divisor (fq_order), k-normality, the
+freeness tests, the multiplicative and module-theoretic decompositions of
+r and g, and membership tests for the element classes the counting
+machinery quantifies over.  fq_order, m_poly and m_gcd_degree keep their
+orbit-and-polynomial forms: they are the oracles the engines are checked
+against.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
+from . import _polyops
 from .errors import CtxMismatch, NotADivisor, TooManyDivisors, ZeroElement
 from .ffield import FieldCtx, FieldElement, mult_order
 from .fqpoly import DIVISOR_CEILING, PolyFactorization, PolyQ, factor_poly
@@ -119,6 +121,27 @@ class DivisorLattice:
 
 def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
     return ctx.memo(DivisorLattice)
+
+
+def exponents(ctx: FieldCtx, poly: PolyQ, name: str) -> tuple[int, ...]:
+    """The exponent vector of poly.monic() over the factors f_j^e_j of x^n - 1,
+    by at most e_j divisions by each f_j: no lattice, so no DIVISOR_CEILING.
+    CtxMismatch and NotADivisor as DivisorLattice.index."""
+    if not isinstance(poly, PolyQ) or poly.fq != ctx.fq:
+        raise CtxMismatch("polynomial and field live over different F_q")
+    fq, vec = ctx.fq, []
+    rest = list(poly.monic().coeffs)
+    for f, e in xn1_factorization(ctx).factors:
+        b = 0
+        while b < e and len(rest) > f.degree:
+            quo, rem = _polyops.divmod_(fq, rest, f.coeffs)
+            if rem:
+                break
+            rest, b = quo, b + 1
+        vec.append(b)
+    if rest != [fq.one]:  # the zero polynomial stays empty
+        raise NotADivisor(f"{name} does not divide x^n - 1")
+    return tuple(vec)
 
 
 # -- the module action ----------------------------------------------------------
@@ -339,20 +362,20 @@ def decompose_r(r: int, ctx: FieldCtx) -> RDecomposition:
 
 
 def decompose_g(g: PolyQ, ctx: FieldCtx) -> GDecomposition:
-    poly, fact_xn1 = _xn1_fact(ctx)
-    g = g.monic()
-    if g.is_zero() or not g.divides(poly):
-        raise NotADivisor("g does not divide x^n - 1")
-    fact_g = factor_poly(g)
-    pi = PolyQ.one(ctx.fq)
+    """Read off g's exponent vector b over x^n - 1 = prod f_j^e_j: f_j goes
+    into G where b_j = 0, is a part where 0 < b_j < e_j, and f_j^e_j goes
+    into pi where b_j = e_j."""
+    vec = exponents(ctx, g, "g")
+    pi = G = PolyQ.one(ctx.fq)
     parts = []
-    for f, b in fact_g.factors:
-        if fact_xn1.exponent_of(f) > b:
+    for (f, e), b in zip(xn1_factorization(ctx).factors, vec):
+        if b == 0:
+            G = G * f
+        elif b < e:
             parts.append((f, b, f**b, f ** (b + 1)))
         else:
-            pi = pi * f**b
-    G = fact_xn1.radical() // fact_g.radical()
-    return GDecomposition(g, pi, tuple(parts), G, poly)
+            pi = pi * f**e
+    return GDecomposition(g.monic(), pi, tuple(parts), G, xn1(ctx))
 
 
 # -- element-class membership ----------------------------------------------------

@@ -28,7 +28,8 @@ the nonzero a counted by (order of a, gcd(dlog a, q^n - 1), order of
 a^-1).  These are the only facts of an element that the counts read, so
 censuses, pair_profile and count_from_profile are folds over the
 profile's keys, with no loop over elements; their polynomial-side
-predicates are read off the lattice's exponent vectors.  The tables live
+predicates compare exponent vectors, the lattice's for F_q-orders and
+modstruct.exponents for g, h and H.  The tables live
 on the context (FieldCtx.memo) like every other per-field object.
 Every witness a search returns passes pair_verified, the direct modstruct
 predicates, before it is reported.
@@ -50,6 +51,7 @@ from .modstruct import (
     action_columns,
     decompose_r,
     divisor_lattice,
+    exponents,
     k_normality,
     kernel_basis,
     m_gcd_degree,
@@ -335,13 +337,6 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
 
 # -- exact counting ---------------------------------------------------------------
 
-def _exponents(ctx: FieldCtx, name: str, poly: PolyQ) -> tuple[int, ...]:
-    """The exponent vector of poly.monic() in the divisor lattice of x^n - 1;
-    NotADivisor when it is not a divisor."""
-    lattice = divisor_lattice(ctx)
-    return lattice.vecs[lattice.index(poly, name)]
-
-
 def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
     """The predicates of a count, read off the divisor lattice, after checking
     that g and h divide x^n - 1, r divides q^n - 1, d divides R and H divides G.
@@ -356,7 +351,7 @@ def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
     and a multiple of no lambda_j.  Returns (hfree, in_T, in_Q): two lists by
     order index and a test on gam.
     """
-    gv, hv, Hv = _exponents(ctx, "g", g), _exponents(ctx, "h", h), _exponents(ctx, "H", H)
+    gv, hv, Hv = exponents(ctx, g, "g"), exponents(ctx, h, "h"), exponents(ctx, H, "H")
     rd = decompose_r(r, ctx)
     if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
@@ -403,7 +398,7 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
     The counts multiply over j.  g and any scalar multiple of it have the
     same image and preimages, so only g.monic() is read; NotADivisor is
     raised when that is not a divisor of x^n - 1."""
-    gv = _exponents(ctx, "g", g)
+    gv = exponents(ctx, g, "g")
     lattice = divisor_lattice(ctx)
     q, top, index_of = ctx.q, lattice.vecs[lattice.top], lattice.vec_index
 

@@ -13,10 +13,11 @@ from knpair.bounds import (
     w_xn1_bound,
 )
 from knpair.bounds import test_sieve as sieve_search
+from knpair import intarith
 from knpair.errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from knpair.ffield import field_for
 from knpair.fqpoly import PolyQ, degree_k_divisors, factor_poly
-from knpair.intarith import factor_int
+from knpair.intarith import factor_hints, factor_int
 from knpair.modstruct import decompose_g, decompose_r, xn1, xn1_factorization
 
 
@@ -109,7 +110,7 @@ def test_sieve_terms_trivial_seed_matches_eq10_radicals():
     gd = decompose_g(g, ctx)
     rad_x = xn1_factorization(ctx).radical()
     rep = sieve_terms(q, n, 1, 1, rad_x, rd.R, gd.G)
-    assert rep.D == 1 and rep.S == 1
+    assert rep.D == 1 and rep.S == 1 and isinstance(rep.D, Fraction)  # l1, l2, l3 all empty
     w_rad = factor_poly(rad_x).W()
     w_R = factor_int(rd.R).W()
     w_G = factor_poly(gd.G).W()
@@ -117,10 +118,37 @@ def test_sieve_terms_trivial_seed_matches_eq10_radicals():
 
 
 def test_sieve_terms_bad_seeds():
-    with pytest.raises(NotADivisor):
-        q, n = 5, 6
-        ctx = field_for(q, n)
-        sieve_terms(q, n, 1, 1, xn1(ctx), 11, PolyQ.one(ctx.fq))
+    q, n = 5, 6
+    ctx = field_for(q, n)
+    for d in (11, 0, -1):  # R = rad(5^6 - 1) = 2 * 3 * 7 * 31
+        with pytest.raises(NotADivisor):
+            sieve_terms(q, n, 1, 1, xn1(ctx), d, PolyQ.one(ctx.fq))
+
+
+def test_sieve_terms_reads_R_off_the_field_factorization(monkeypatch):
+    # q is prime and q^2 - 1 has a 30-digit prime factor: given that
+    # factorization as a hint, no bound may need Pollard to factor R or d
+    q = 21600000000000152640000000000127367
+    hint = {q * q - 1: [(2, 4), (3, 2), (11, 2), (197, 1), (10000000000000061, 1),
+                        (30000000000000029, 1), (453077148970091719595586692959, 1)]}
+
+    def no_pollard(n, effort):
+        raise AssertionError(f"Pollard called on {n}")
+
+    monkeypatch.setattr(intarith, "_pollard_brent", no_pollard)
+    with factor_hints(hint):
+        ctx = field_for(q, 2)
+        poly = xn1(ctx)
+        g = degree_k_divisors(poly, 1)[0]
+        R = decompose_r(1, ctx).R
+        G = decompose_g(g, ctx).G
+        assert basic_inequality(q, 2, 1, 1).rhs == 2 * 4 * 2**7 * 2
+        rep = sieve_terms(q, 2, 1, 1, poly, R, G)
+        assert rep.l1_primes == () and rep.D == 1 and rep.S == 1
+        assert rep.verdict.rhs == 2 * 4 * 2**7 * 2  # W(h) W(R) W(G)
+        rep = sieve_terms(q, 2, 1, 1, poly, 2 * 197, G)
+        assert rep.l1_primes == (3, 11, 10000000000000061, 30000000000000029, 453077148970091719595586692959)
+        assert rep.verdict.rhs == 2 * 4 * 2**2 * 2 * rep.S
 
 
 def test_lemma54_regime_65_7():
@@ -155,6 +183,23 @@ def test_test_sieve_implied_by_eq10():
     for q, n in [(7, 14), (5, 15), (23, 22), (2, 13), (3, 13)]:
         if basic_inequality(q, n, 1, 1).holds:
             assert sieve_search(q, n, theta_for(q, n, 1)).found
+
+
+@pytest.mark.parametrize("q, n, theta", [(167, 6, 2), (47, 23, 3), (7, 14, 2), (5, 15, 3), (3, 13, 2),
+                                         (16, 9, 2), (9, 10, 2), (25, 8, 2), (31, 10, 2), (49, 8, 2)])
+def test_test_sieve_report_against_sieve_terms(q, n, theta):
+    # the grid search evaluates the general sieve at r = k = 1, g = x - 1,
+    # h = H; x^23 - 1 over F_47 has 2^23 divisors, past any divisor lattice
+    out = sieve_search(q, n, theta)
+    assert out.found
+    rep = out.report
+    fq = field_for(q, n).fq
+    ref = sieve_terms(q, n, 1, 1, rep.H, rep.d, rep.H, g=PolyQ(fq, (fq.neg(fq.one), fq.one)),
+                      theta_mult=theta)
+    assert (rep.D, rep.S, rep.verdict.rhs, rep.verdict.holds) == (ref.D, ref.S, ref.verdict.rhs, True)
+    assert rep.verdict.lhs == ref.verdict.lhs
+    assert rep.l1_primes == ref.l1_primes and rep.l2_polys == ref.l2_polys
+    assert set(rep.l3_polys) == set(ref.l3_polys) and len(rep.l3_polys) == len(ref.l3_polys)
 
 
 def test_test_sieve_small_cases():

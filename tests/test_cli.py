@@ -95,6 +95,17 @@ def test_lemma54_command_and_d_expr():
     assert code == 0 and rep["result"]["holds"]
 
 
+@pytest.mark.parametrize("n0", ["0", "-2"])
+def test_lemma54_n0_below_one_exits_2(n0):
+    # an n0 below 1 would never advance the prime walk; a fresh interpreter with a
+    # timeout turns such a hang into a failure
+    src = str(Path(knpair.__file__).resolve().parents[1])
+    argv = ["lemma54", "--q", "65", "--n", "7", "--d-expr", "q-1", "--n0", n0]
+    proc = subprocess.run([sys.executable, "-m", "knpair.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 2 and "n0" in proc.stderr
+
+
 def test_search_pair_exits():
     code, rep = run_cli("search-pair", "--q", "4", "--n", "5", "--r", "1", "--k", "1")
     assert code == 3 and not rep["result"]["found"]

@@ -9,16 +9,18 @@ from sympy.polys.matrices import DomainMatrix
 
 from knpair import search
 from knpair.characters import psi_set, q_gH, upsilon_g
-from knpair.errors import NotADivisor, ZeroElement
+from knpair.errors import CtxMismatch, NotADivisor, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
 from knpair.intarith import divisors as idivs
 from knpair.intarith import euler_phi
 from knpair.modstruct import (
+    GDecomposition,
     action_columns,
     decompose_g,
     decompose_r,
     divisor_lattice,
+    exponents,
     fq_order,
     in_Qrd,
     in_Sgk,
@@ -220,6 +222,41 @@ def test_decompose_g_with_lambda():
     assert gd.G.is_one()
 
 
+def _decompose_g_by_factoring(g, ctx):
+    # the form decompose_g replaced: factor g, and compare each exponent
+    # with that of the same factor in a fresh factorization of x^n - 1
+    poly = xn1(ctx)
+    g = g.monic()
+    if g.is_zero() or not g.divides(poly):
+        raise NotADivisor("g does not divide x^n - 1")
+    fact_g, fact_x = factor_poly(g), factor_poly(poly)
+    e_of = dict(fact_x.factors)
+    pi, parts = PolyQ.one(ctx.fq), []
+    for f, b in fact_g.factors:
+        if e_of[f] > b:
+            parts.append((f, b, f**b, f ** (b + 1)))
+        else:
+            pi = pi * f**b
+    return GDecomposition(g, pi, tuple(parts), fact_x.radical() // fact_g.radical(), poly)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (3, 6), (4, 6), (4, 4), (8, 3), (9, 6), (16, 3),
+                                  (5, 4), (7, 3), (2, 9), (5, 1), (4, 1)])
+def test_decompose_g_against_factoring(q, n):
+    # every divisor and a scalar multiple of it, on t > 1, p | n and n = 1
+    ctx = field_for(q, n)
+    poly = xn1(ctx)
+    for g in divisors_of(poly):
+        for cand in (g, g * PolyQ(ctx.fq, (q - 1,))):
+            assert decompose_g(cand, ctx) == _decompose_g_by_factoring(cand, ctx)
+    other = field_for(3 if q % 2 == 0 else 2, 1).fq
+    for bad, exc in [(PolyQ.zero(ctx.fq), NotADivisor), (poly * PolyQ.x(ctx.fq), NotADivisor),
+                     (PolyQ.x(ctx.fq), NotADivisor), (PolyQ.one(other), CtxMismatch)]:
+        for decompose in (decompose_g, _decompose_g_by_factoring):
+            with pytest.raises(exc):
+                decompose(bad, ctx)
+
+
 def test_in_Qrd_r_primitive_characterization():
     # with d = R, membership is exactly ord = (q^n - 1)/r; exhaustive over F_81, r = 2
     ctx = make_field(3, 1, 4)
@@ -371,7 +408,9 @@ def test_divisor_lattice_against_factoring(q, n):
     irreducibles = xn1_factorization(ctx).irreducibles
     for i, h in enumerate(divs):
         fact = factor_poly(h)
-        assert lattice.index(h, "h") == lattice.index(h * PolyQ(ctx.fq, (q - 1,)), "h") == i
+        scaled = h * PolyQ(ctx.fq, (q - 1,))
+        assert lattice.index(h, "h") == lattice.index(scaled, "h") == i
+        assert exponents(ctx, h, "h") == exponents(ctx, scaled, "h") == lattice.vecs[i]
         assert lattice.phi_q[i] == fact.phi_q()
         assert lattice.mu_prime[i] == fact.moebius_prime()
         assert lattice.sub_divisors[i] == [index[d] for d in divisors_of(h)]
