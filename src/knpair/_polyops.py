@@ -16,6 +16,13 @@ chosen by ``fq``:
   reduction.  Terms are summed with ``fq.add`` (XOR in characteristic 2,
   the add table otherwise).
 
+A division is two steps: ``divisor`` reads what the loop needs of the
+divisor (its degree, the inverse of its leading coefficient, and its other
+nonzero coefficients, as logs for t > 1), and ``reduce`` runs the loop.
+``divmod_`` runs the two back to back.  ``pow_mod`` prepares its modulus
+once per call, not once per product, and ``is_irreducible`` prepares f once
+for all its q-th powers; nothing is kept past the call.
+
 In characteristic 2 a square takes no product: (sum c_i x^i)^2 =
 sum c_i^2 x^(2i), so ``square`` places c_i^2 at x^(2i).  ``pow_mod``
 squares with it, left to right over the exponent's bits.
@@ -92,18 +99,35 @@ def scale(fq, a: list[int], s: int) -> list[int]:
     return trim([fq.mul(c, s) for c in a])
 
 
-def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+def divisor(fq, b: Sequence[int]) -> tuple[int, int, list[tuple[int, int]]]:
+    """What reducing by b reads of it: (top, inv_lead, low).
+
+    top is deg b and low the (index, value) pairs of b's nonzero coefficients
+    below x^top.  For t = 1, inv_lead is 1/b_top and a value is b_j itself;
+    for t > 1 both are logs, of 1/b_top and of -b_j / b_top.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
     top = len(b) - 1
+    if fq.t == 1:
+        return top, fq.inv(b[-1]), [(j, y) for j, y in enumerate(b[:top]) if y]
+    log, order = fq.log, fq.q - 1
+    inv_lead = log[fq.inv(b[-1])]
+    # -b_j / b_top, so that adding c times one subtracts c/b_top * b_j; -1 is
+    # the element of order 2, g^((q-1)/2), for odd q
+    neg = inv_lead if fq.p == 2 else inv_lead + order // 2
+    return top, inv_lead, [(j, (log[y] + neg) % order) for j, y in enumerate(b[:top]) if y]
+
+
+def reduce(fq, a: list[int], div: tuple[int, int, list[tuple[int, int]]]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the divisor that ``divisor`` prepared."""
+    top, inv_lead, low = div
     if len(a) <= top:
         return [], list(a)
     rem = list(a)
     quo = [0] * (len(a) - top)
     if fq.t == 1:
         p = fq.p
-        inv_lead = fq.inv(b[-1])
-        low = [(j, y) for j, y in enumerate(b[:top]) if y]
         for s in range(len(a) - top - 1, -1, -1):
             c = rem[s + top] % p
             if c:
@@ -113,12 +137,6 @@ def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
                     rem[s + j] -= f * y
         return trim(quo), trim([c % p for c in rem[:top]])
     log, alog, add_ = fq.log, fq.alog, fq.add
-    order = fq.q - 1
-    inv_lead = log[fq.inv(b[-1])]
-    # logs of -b_j / b_top, so that adding c times one subtracts c/b_top * b_j;
-    # -1 is the element of order 2, g^((q-1)/2), for odd q
-    neg = inv_lead if fq.p == 2 else inv_lead + order // 2
-    low = [(j, (log[y] + neg) % order) for j, y in enumerate(b[:top]) if y]
     for s in range(len(a) - top - 1, -1, -1):
         c = rem[s + top]
         if c:
@@ -129,8 +147,16 @@ def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     return trim(quo), trim(rem[:top])
 
 
+def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    if b and len(a) < len(b):  # nothing to reduce: skip the preparation
+        return [], list(a)
+    return reduce(fq, a, divisor(fq, b))
+
+
 def mod(fq, a: list[int], b: Sequence[int]) -> list[int]:
-    return divmod_(fq, a, b)[1]
+    if b and len(a) < len(b):
+        return list(a)
+    return reduce(fq, a, divisor(fq, b))[1]
 
 
 def monic(fq, a: list[int]) -> list[int]:
@@ -163,14 +189,19 @@ def inv_mod(fq, a: list[int], modulus: Sequence[int]) -> list[int]:
 
 def pow_mod(fq, base: list[int], e: int, modulus: Sequence[int]) -> list[int]:
     """base^e mod modulus for e >= 0, by left-to-right square and multiply."""
+    return _pow_by(fq, base, e, divisor(fq, modulus))
+
+
+def _pow_by(fq, base: list[int], e: int, div) -> list[int]:
+    """pow_mod on a modulus that ``divisor`` prepared."""
     if e == 0:
         return [fq.one]
-    base = mod(fq, base, modulus)
+    base = reduce(fq, base, div)[1]
     result = base
     for bit in bin(e)[3:]:
-        result = mod(fq, square(fq, result), modulus)
+        result = reduce(fq, square(fq, result), div)[1]
         if bit == "1":
-            result = mod(fq, mul(fq, result, base), modulus)
+            result = reduce(fq, mul(fq, result, base), div)[1]
     return result
 
 
@@ -189,10 +220,11 @@ def is_irreducible(fq, f: list[int]) -> bool:
         return True
     if f[0] == 0:
         return False
+    div = divisor(fq, f)
     x = [0, fq.one]
     h = x
     for _ in range(d // 2):
-        h = pow_mod(fq, h, fq.q, f)
-        if deg(gcd(fq, sub(fq, h, x), f)) != 0:
+        h = _pow_by(fq, h, fq.q, div)
+        if deg(gcd(fq, f, sub(fq, h, x))) != 0:
             return False
     return True

@@ -9,7 +9,10 @@ coefficients), so searches and witnesses are reproducible.
 
 Moduli default to the lexicographically least monic irreducible of the
 required degree, "least" meaning smallest packed code with the constant
-term in the least significant digit.
+term in the least significant digit.  The search (``_least_irreducible``)
+drops the candidates with a root in F_q while q <= FQ_TABLE_CEILING and
+hands the rest, in code order, to Ben-Or's test, which alone accepts a
+modulus.
 """
 
 from __future__ import annotations
@@ -182,17 +185,36 @@ class Fq:
 
 
 def _least_irreducible(fq, degree: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of the given degree, by packed-code order."""
-    q = fq.q
-    for v in range(q**degree):
-        coeffs = []
+    """Smallest monic irreducible of the given degree, by packed-code order.
+
+    The codes run in blocks of q that share the coefficients of x^1..x^degree
+    and differ in the constant term.  Above degree 1, while q <=
+    FQ_TABLE_CEILING, a block first drops every constant -g(a), a in F_q,
+    where g is the shared part: those candidates have the root a (a = 0
+    drops the constant 0).  Ben-Or decides the rest, in code order.
+    """
+    q, fmul, fadd = fq.q, fq.mul, fq.add
+    sieve = degree > 1 and q <= FQ_TABLE_CEILING
+    for v in range(q ** (degree - 1)):
+        upper = []
         w = v
-        for _ in range(degree):
+        for _ in range(degree - 1):
             w, d = divmod(w, q)
-            coeffs.append(d)
-        cand = coeffs + [fq.one]
-        if _polyops.is_irreducible(fq, cand):
-            return tuple(cand)
+            upper.append(d)
+        upper.append(fq.one)
+        consts = range(q)
+        if sieve:
+            roots = set()
+            for a in range(q):
+                g = 0
+                for c in reversed(upper):
+                    g = fadd(fmul(g, a), c)
+                roots.add(fq.neg(fmul(g, a)))
+            consts = [c for c in consts if c not in roots]
+        for c in consts:
+            cand = [c] + upper
+            if _polyops.is_irreducible(fq, cand):
+                return tuple(cand)
     raise ReducibleModulus(f"no irreducible of degree {degree} over F_{q}")  # unreachable
 
 

@@ -339,8 +339,9 @@ def divisors_of(f: PolyQ, filter_kind: str = "all_monic", k: int | None = None, 
     (first factor's exponent cycling fastest).
 
     filter_kind: all_monic | squarefree_monic | degree_equals (with k).  The
-    degree filter prunes during enumeration, so asking for the low-degree
-    divisors of a very smooth polynomial stays cheap.
+    degree filter prunes during enumeration: a branch is entered only when
+    the factors left can make up the degree it still needs exactly, so the
+    walk visits no dead end, whatever k.
     """
     if f.is_zero():
         raise ZeroPolynomial("divisors of the zero polynomial")
@@ -350,22 +351,28 @@ def divisors_of(f: PolyQ, filter_kind: str = "all_monic", k: int | None = None, 
             raise ValueError("degree_equals filter needs k")
         out: list[PolyQ] = []
         factors = fact.factors
+        # bit m of reach[i] is set when factors 0..i-1 make degree m
+        reach = [1]
+        for g, e in factors:
+            bits = 0
+            for j in range(e + 1):
+                bits |= reach[-1] << (j * g.degree)
+            reach.append(bits)
 
         def emit(idx: int, acc: PolyQ, deg_left: int) -> None:
             if idx < 0:
-                if deg_left == 0:
-                    if len(out) >= ceiling:
-                        raise TooManyDivisors(f"degree-{k} divisors exceed the ceiling {ceiling}")
-                    out.append(acc)
+                if len(out) >= ceiling:
+                    raise TooManyDivisors(f"degree-{k} divisors exceed the ceiling {ceiling}")
+                out.append(acc)
                 return
             g, e = factors[idx]
             power = PolyQ.one(f.fq)
-            for j in range(e + 1):
-                if j * g.degree > deg_left:
-                    break
-                emit(idx - 1, acc * power, deg_left - j * g.degree)
+            for j in range(min(e, deg_left // g.degree) + 1):
+                if reach[idx] >> (deg_left - j * g.degree) & 1:
+                    emit(idx - 1, acc * power, deg_left - j * g.degree)
                 power = power * g
-        emit(len(factors) - 1, PolyQ.one(f.fq), k)
+        if k >= 0 and reach[-1] >> k & 1:
+            emit(len(factors) - 1, PolyQ.one(f.fq), k)
         return out
     count = 1
     for _, e in fact.factors:

@@ -379,8 +379,8 @@ def count_N(q: int, n: int, r: int, k: int, g: PolyQ, h: PolyQ, d: int, H: PolyQ
     ctx = field_for(q, n)
     if g.degree != k:
         raise NotADivisor("g must be a monic degree-k divisor of x^n - 1")
-    _count_tests(ctx, g, r, h, d, H)  # every argument, before the profile is built
-    return count_from_profile(ctx, g, pair_profile(ctx, g), r, h, d, H)
+    tests = _count_tests(ctx, g, r, h, d, H)  # every argument, before the profile is built
+    return _fold_count(pair_profile(ctx, g), *tests)
 
 
 def pair_profile(ctx: FieldCtx, g: PolyQ):
@@ -428,7 +428,10 @@ def pair_profile(ctx: FieldCtx, g: PolyQ):
 
 def count_from_profile(ctx: FieldCtx, g: PolyQ, hist, r: int, h: PolyQ, d: int, H: PolyQ) -> int:
     """count_N recomputed from a pair_profile histogram (same quantity)."""
-    hfree, in_T, in_Q = _count_tests(ctx, g, r, h, d, H)
+    return _fold_count(hist, *_count_tests(ctx, g, r, h, d, H))
+
+
+def _fold_count(hist, hfree, in_T, in_Q) -> int:
     return sum(cnt for (b_idx, gam, inv_idx), cnt in hist.items()
                if hfree[b_idx] and in_T[inv_idx] and in_Q(gam))
 

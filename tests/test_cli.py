@@ -11,6 +11,7 @@ import pytest
 import knpair
 from knpair import ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
+from knpair.fqpoly import PolyQ, factor_poly, format_poly
 
 
 def run_cli(*args):
@@ -104,6 +105,22 @@ def test_lemma54_n0_below_one_exits_2(n0):
     proc = subprocess.run([sys.executable, "-m", "knpair.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 2 and "n0" in proc.stderr
+
+
+def test_bound_near_full_degree_returns():
+    # x^23 - 1 splits into 23 linear factors over F_47, and g is its first
+    # degree-21 divisor in odometer order: the product of the first 21 factors.
+    # The timeout turns a walk over dead branches into a failure.
+    src = str(Path(knpair.__file__).resolve().parents[1])
+    argv = ["bound", "--q", "47", "--n", "23", "--k", "21"]
+    proc = subprocess.run([sys.executable, "-m", "knpair.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode in (0, 3), proc.stderr
+    f = PolyQ.xn_minus_1(ffield.field_for(47, 1).fq, 23)
+    first = PolyQ.one(f.fq)
+    for g, _ in factor_poly(f).factors[:21]:
+        first = first * g
+    assert json.loads(proc.stdout)["result"]["verdict"]["inputs"]["g"] == format_poly(first)
 
 
 def test_search_pair_exits():

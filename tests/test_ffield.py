@@ -28,7 +28,7 @@ from knpair.ffield import (
     parse_field_spec,
     trace_abs,
 )
-from knpair.intarith import euler_phi
+from knpair.intarith import euler_phi, factor_int
 
 from conftest import BENCHMARK_MODULI
 
@@ -426,3 +426,35 @@ def test_field_axioms_on_towers(p, t, n, data):
     assert a**e == power
     if not a.is_zero():
         assert a * a.inv() == one and a ** -e == power.inv()
+
+
+def plain_least_irreducible(fq, degree):
+    """The unsieved search: every monic code of the degree in order, Ben-Or on each."""
+    for v in range(fq.q**degree):
+        cand = []
+        for _ in range(degree):
+            v, c = divmod(v, fq.q)
+            cand.append(c)
+        if _polyops.is_irreducible(fq, cand + [fq.one]):
+            return tuple(cand + [fq.one])
+    raise AssertionError("no irreducible found")
+
+
+SIEVE_GRID = [(q, d) for q in range(2, 33) if len(factor_int(q).factors) == 1
+              for d in range(1, 25) if q**d <= 1 << 24]
+
+
+@pytest.mark.parametrize("q,d", SIEVE_GRID)
+def test_least_irreducible_against_plain_search(q, d):
+    # the root sieve drops candidates before Ben-Or; it must not move the
+    # least irreducible, odd t > 1 (q = 9, 25, 27) included
+    fq = field_for(q, 1).fq
+    assert ffield._least_irreducible(fq, d) == plain_least_irreducible(fq, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_least_irreducible_above_table_ceiling(d):
+    # q = 4099 > FQ_TABLE_CEILING takes the unsieved candidate loop
+    fq = make_field(4099, 1, 1).fq
+    assert fq.q > ffield.FQ_TABLE_CEILING
+    assert ffield._least_irreducible(fq, d) == plain_least_irreducible(fq, d)

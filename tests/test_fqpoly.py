@@ -162,6 +162,39 @@ def test_divisors_ceiling():
         divisors_of(xn1(2, 12), ceiling=3)
 
 
+def unpruned_degree_k_divisors(f, k):
+    """The degree filter that cuts a branch only when it overshoots k; the oracle of the pruned one."""
+    out, factors = [], factor_poly(f).factors
+
+    def emit(idx, acc, deg_left):
+        if idx < 0:
+            if deg_left == 0:
+                out.append(acc)
+            return
+        g, e = factors[idx]
+        power = PolyQ.one(f.fq)
+        for j in range(e + 1):
+            if j * g.degree > deg_left:
+                break
+            emit(idx - 1, acc * power, deg_left - j * g.degree)
+            power = power * g
+    emit(len(factors) - 1, PolyQ.one(f.fq), k)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11) for n in range(1, 13)
+                                 if q**n <= 1 << 30])
+def test_degree_k_divisors_against_unpruned(q, n):
+    # same divisors in the same odometer order, p | n (repeated factors) included
+    f = PolyQ.xn_minus_1(field_for(q, 1).fq, n)
+    for k in range(-1, n + 2):
+        assert degree_k_divisors(f, k) == unpruned_degree_k_divisors(f, k), k
+    h = PolyQ(f.fq, (1, 1, 0, 1))
+    g = h * h * f  # squared factors of several degrees beside those of x^n - 1
+    for k in range(g.degree + 1):
+        assert degree_k_divisors(g, k) == unpruned_degree_k_divisors(g, k), k
+
+
 def test_squarefree_filter():
     f = xn1(2, 4)  # (x-1)^4
     sf = divisors_of(f, "squarefree_monic")

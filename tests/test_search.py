@@ -345,6 +345,21 @@ def test_count_rejects_bad_arguments_before_walking(monkeypatch):
             count_from_profile(ctx, g, {}, 1, h, d, H)
 
 
+def test_count_checks_its_arguments_once(monkeypatch):
+    import knpair.search as search
+
+    calls = []
+    real = search._count_tests
+    monkeypatch.setattr(search, "_count_tests", lambda *a: calls.append(a) or real(*a))
+    ctx = field_for(2, 3)
+    P = lambda *c: PolyQ(ctx.fq, c)
+    top = xn1(ctx)
+    want = count_from_profile(ctx, P(1, 1), pair_profile(ctx, P(1, 1)), 1, top, 1, P(1))
+    calls.clear()
+    assert count_N(2, 3, 1, 1, P(1, 1), top, 1, P(1)) == want
+    assert len(calls) == 1
+
+
 def test_census_knormal(f8):
     assert census(2, 3, "knormal", 0) == 3
     assert census(2, 3, "knormal", 1) == 3
