@@ -175,27 +175,47 @@ def emit(report: dict, fmt: str, stream=None) -> None:
 
 def verify_report(report: dict) -> bool:
     """Re-check every witness a parsed report carries with search.pair_verified;
-    a row that claims found without a witness fails."""
+    a row that claims found without a witness fails.
+
+    A search_pair row that reports not-found in a field of at most
+    search.TABLE_CEILING elements must agree with the table engine: k is no
+    key of census(q, n, "pair_table", r).  direct-search rows are not
+    re-checked that way: they sweep only alpha = beta^q - beta, so their
+    not-found rules out no pair.
+    """
     prov = report.get("provenance", {})
     field = prov.get("field")
     result = report.get("result", {})
-    # a table's rows carry their r and k; a single search keeps them in its inputs
+    # a table's rows carry their q, n, r and k; a single search keeps them in its inputs
     inputs = report.get("inputs", {})
     for row in result.get("rows", [result]):
+        r, k = (int(row.get(x, inputs.get(x, 1))) for x in ("r", "k"))
         wit = row.get("witness")
         if not wit:
             if row.get("found"):
                 return False
+            if row.get("found") is False and row.get("algorithm", report.get("command")) != "direct-search":
+                q, n = (int(row.get(x, inputs.get(x, 0))) for x in ("q", "n"))
+                if not _table_confirms_not_found(q, n, r, k):
+                    return False
             continue
         fspec = row.get("field", field)
         ctx = parse_field_spec(f"{fspec['p']}^{fspec['t']}:{fspec['n']}") if isinstance(fspec, dict) else None
         if ctx is None:
             return False
         alpha = parse_element(ctx, wit)
-        r, k = (int(row.get(x, inputs.get(x, 1))) for x in ("r", "k"))
         if not search.pair_verified(alpha, r, k):
             return False
     return True
+
+
+def _table_confirms_not_found(q: int, n: int, r: int, k: int) -> bool:
+    """False when the table engine finds a pair that search_pair(q, n, r, k)
+    reported missing; True past the table ceiling, where it cannot look."""
+    ctx = field_for(q, n)
+    if r < 1 or ctx.N % r:
+        return False
+    return ctx.order > search.TABLE_CEILING or k not in search.census(q, n, "pair_table", r)
 
 
 # -- reproduce targets -------------------------------------------------------------

@@ -17,15 +17,19 @@ orbit.  direct_search walks, in code order, the beta whose constant
 coefficient is 0, which give every alpha = beta^q - beta, with the same
 per-element predicates.  The table engine builds,
 once per context, the F_q-order table first and then one discrete-log
-walk.  The F_q-order table starts at the index of x^n - 1, whose kernel is
-the whole field, and walks the echelon bases of every other ker h(sigma)
-(modstruct.kernel_basis, as search_pair does) from the last divisor to the
-first; the last kernel to reach an element is the least one holding it,
-which is its order.  The walk applies the F_q-linear map "multiply by a
-primitive element" q^n - 1 times, records each element's discrete log and
-the order index of prim^e, and ends in one histogram, the element profile:
-the nonzero a counted by (order of a, gcd(dlog a, q^n - 1), order of
-a^-1).  These are the only facts of an element that the counts read, so
+walk, both on packed ints: an element's n*t F_p coordinates, the base-p
+digits of its code, sit in lanes of one int (_Lanes), so an addition is one
+XOR for p = 2 and a few int operations for odd p.  The F_q-order table
+starts at the index of x^n - 1, whose kernel is the whole field, and
+streams every other ker h(sigma), from the F_p basis y^j b of its echelon
+basis (modstruct.kernel_basis, as search_pair uses), from the last divisor
+to the first; the last kernel to reach an element is the least one holding
+it, which is its order.  The walk applies the F_p-linear map "multiply by a
+primitive element" q^n - 1 times, two lookups and one addition per step,
+records each element's discrete log and the order index of prim^e, and
+ends in one histogram, the element profile: the nonzero a counted by
+(order of a, gcd(dlog a, q^n - 1), order of a^-1).  These are the only
+facts of an element that the counts read, so
 censuses, pair_profile and count_from_profile are folds over the
 profile's keys, with no loop over elements; their polynomial-side
 predicates compare exponent vectors, the lattice's for F_q-orders and
@@ -136,12 +140,84 @@ class _Predicates:
         return True
 
 
+class _Lanes:
+    """F_{q^n} as packed ints, for the table engine.
+
+    An element's code is the base-p number of its D = n*t F_p coordinates,
+    digit k = i*t + j being digit j of coefficient i.  Its packed value holds
+    the same digits as w-bit lanes of one int, digit k in lane k.  For p = 2,
+    w = 1: the packed value is the code and addition is XOR.  For odd p,
+    w = p.bit_length() + 1, so a lane-wise sum of two digits, at most 2p - 2,
+    stays in its lane; adding K, 2^(w-1) - p in every lane, sets a lane's top
+    bit (HI) exactly where its sum reached p, and p is taken off there.  A
+    packed value becomes a code through two tables, one for the low ``m``
+    lanes and one for the others, each indexed by the packed value of its
+    lanes and holding the code of their digits.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.p = p = ctx.p
+        self.D = D = ctx.n * ctx.t
+        self.w = w = 1 if p == 2 else p.bit_length() + 1
+        ones = sum(1 << w * k for k in range(D))
+        self.K, self.HI = ((1 << w - 1) - p) * ones, (1 << w - 1) * ones
+        self.m = m = D // 2
+        self.split = p**m
+        self.shift = w * m
+        self.mask = (1 << w * m) - 1
+        if p > 2:
+            self.decode_lo, self.decode_hi = self._decoder(m), self._decoder(D - m)
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        return s - (((s + self.K) & self.HI) >> self.w - 1) * self.p
+
+    def pack(self, coeffs: tuple) -> int:
+        code, q, p, w = 0, self.ctx.q, self.p, self.w
+        for c in reversed(coeffs):
+            code = code * q + c
+        packed = 0
+        for k in range(self.D):
+            code, d = divmod(code, p)
+            packed |= d << w * k
+        return packed
+
+    def fp_basis(self, vectors: list[tuple]) -> list[int]:
+        """y^j b for b in vectors and j < t, packed: an F_p basis of their F_q
+        span when they are independent.  y^j has code p^j in F_q."""
+        ctx = self.ctx
+        return [self.pack(ctx._scale(b, self.p**j)) for b in vectors for j in range(ctx.t)]
+
+    def span(self, vectors: list[int]) -> list[int]:
+        """sum_k c_k vectors[k], packed, for every c in F_p^len(vectors), at
+        index sum_k c_k p^k."""
+        add, out = self.add, [0]
+        for v in vectors:
+            multiples = [0]
+            for _ in range(self.p - 1):
+                multiples.append(add(multiples[-1], v))
+            out = [add(s, c) for c in multiples for s in out]
+        return out
+
+    def _decoder(self, lanes: int) -> list[int]:
+        """The code of the digits in the first ``lanes`` lanes, by packed value;
+        one entry per packed value up to the largest, all digits p - 1."""
+        packed = self.span([1 << self.w * k for k in range(lanes)])
+        table = [0] * (packed[-1] + 1)
+        for code, v in enumerate(packed):
+            table[v] = code
+        return table
+
+
 class _ScanTables:
     """The dlog walk, the F_q-order of every element, and the element profile.
 
-    ``profile`` counts the nonzero elements a by (ord-idx of a, gcd(dlog a, N),
-    ord-idx of a^-1), the only three facts of an element that the counts and
-    censuses read.
+    Both tables are built on packed ints (_Lanes).  ``profile`` counts the
+    nonzero elements a by (ord-idx of a, gcd(dlog a, N), ord-idx of a^-1),
+    the only three facts of an element that the counts and censuses read.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -151,34 +227,42 @@ class _ScanTables:
         lattice = divisor_lattice(ctx)
         self.divisors = lattice.divisors
         self.top = lattice.top
-        n, N = ctx.n, ctx.N
-        # an element's code is sum(map(mul, coeffs, weights))
-        self.weights = weights = [ctx.q**i for i in range(n)]
-        self.ord_idx = ord_idx = self._order_table()
-        # multiplication by the primitive element is F_q-linear: its value on
-        # a = lo + x^m hi is the sum of the images of lo and of x^m hi, each
-        # looked up in a table of q^(n/2) entries
+        N, lanes = ctx.N, _Lanes(ctx)
+        self.ord_idx = ord_idx = self._order_table(lanes)
+        # multiplication by the primitive element is F_q-linear: it sends
+        # y^j x^i, the element in lane i*t + j, to y^j times the image of x^i;
+        # its value at a is the sum of its values at the low m lanes of a and
+        # at the others, each looked up by the code of those lanes
         pc = find_primitive(ctx).coeffs
-        images = [ctx._mul(tuple(1 if i == j else 0 for i in range(n)), pc) for j in range(n)]
-        m = n // 2
-        low, high = list(_span(ctx, images[:m])), list(_span(ctx, images[m:]))
-        split = ctx.q**m
+        images = lanes.fp_basis([ctx._mul(tuple(int(i == j) for i in range(ctx.n)), pc) for j in range(ctx.n)])
+        m, mask, shift, split = lanes.m, lanes.mask, lanes.shift, lanes.split
+        low, high = lanes.span(images[:m]), lanes.span(images[m:])
         ords = [0] * N
         log_codes = [-1] * ctx.order
-        cur = ctx.one().coeffs
-        for e in range(N):
-            code = sum(map(mul, cur, weights))
-            ords[e] = ord_idx[code]
-            log_codes[code] = e
-            hi, lo = divmod(code, split)
-            cur = ctx._add(low[lo], high[hi])
+        if lanes.p == 2:
+            code = 1
+            for e in range(N):
+                ords[e] = ord_idx[code]
+                log_codes[code] = e
+                code = low[code & mask] ^ high[code >> shift]
+        else:
+            p, K, HI, top_bit = lanes.p, lanes.K, lanes.HI, lanes.w - 1
+            decode_lo, decode_hi = lanes.decode_lo, lanes.decode_hi
+            cur = 1
+            for e in range(N):
+                lo, hi = decode_lo[cur & mask], decode_hi[cur >> shift]
+                code = lo + hi * split
+                ords[e] = ord_idx[code]
+                log_codes[code] = e
+                s = low[lo] + high[hi]
+                cur = s - (((s + K) & HI) >> top_bit) * p
         self.log_codes = log_codes
         # gcd(0, N) = N; the inverse of prim^e is prim^((N - e) % N), and zip
         # stops after N of them, at ords[1]
         inverse_ords = chain(ords[:1], reversed(ords))
         self.profile = Counter(zip(ords, map(int_gcd, range(N), repeat(N)), inverse_ords))
 
-    def _order_table(self) -> list[int]:
+    def _order_table(self, lanes: _Lanes) -> list[int]:
         """F_q-order index of every code, from the kernels of h(sigma).
 
         An element lies in ker h(sigma) exactly when its order divides h, so
@@ -186,12 +270,28 @@ class _ScanTables:
         holds it.  The table starts at x^n - 1, the last divisor, whose kernel
         is the whole field; every other divisor writes its index over its
         kernel, from last to first, so the last write at a code is its order.
+        A kernel is streamed as the sums of the spans of the two halves of its
+        F_p basis, y^j b for b in kernel_basis and j < t, packed.
         """
-        ctx, weights = self.ctx, self.weights
+        ctx = self.ctx
         table = [self.top] * ctx.order
+        p, K, HI, top_bit = lanes.p, lanes.K, lanes.HI, lanes.w - 1
+        mask, shift, split = lanes.mask, lanes.shift, lanes.split
         for idx in range(self.top - 1, -1, -1):
-            for alpha in _span(ctx, kernel_basis(ctx, self.divisors[idx].coeffs)):
-                table[sum(map(mul, alpha, weights))] = idx
+            basis = lanes.fp_basis(kernel_basis(ctx, self.divisors[idx].coeffs))
+            half = len(basis) // 2
+            lows, highs = lanes.span(basis[:half]), lanes.span(basis[half:])
+            if p == 2:
+                for h in highs:
+                    for v in lows:
+                        table[v ^ h] = idx
+                continue
+            decode_lo, decode_hi = lanes.decode_lo, lanes.decode_hi
+            for h in highs:
+                for v in lows:
+                    s = v + h
+                    s -= (((s + K) & HI) >> top_bit) * p
+                    table[decode_lo[s & mask] + decode_hi[s >> shift] * split] = idx
         return table
 
 

@@ -272,6 +272,24 @@ def test_verify_report_rejects_found_without_witness():
     assert not verify_report(rep)
 
 
+def test_verify_report_confirms_not_found_with_the_table_engine():
+    # census(3, 4, "pair_table", 2) has pairs at k = 1, so a search-pair report
+    # that claims none there is refused
+    code, rep = run_cli("search-pair", "--q", "3", "--n", "4", "--r", "2", "--k", "1")
+    assert code == 0 and verify_report(rep)
+    rep["result"].update(found=False, witness=None)
+    assert not verify_report(rep)
+    # the same claim in a reproduce row, and a direct-search row, which sweeps
+    # only beta^q - beta and is never checked against the tables
+    _, rep = run_cli("reproduce", "--target", "t13-exception")
+    assert verify_report(rep)
+    row = next(r for r in rep["result"]["rows"] if "algorithm" not in r)
+    row.update(q=3, n=4, r=2, k=1)
+    assert not verify_report(rep)
+    row.update(algorithm="direct-search")
+    assert verify_report(rep)
+
+
 def test_verify_report_rejects_table_row_found_without_witness():
     _, rep = run_cli("reproduce", "--target", "spnbt-exceptions")
     assert verify_report(rep)

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from conftest import field_grid
 from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, RNotDivisor
 from knpair.ffield import FieldCtx, field_for, find_primitive, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, phi_q
@@ -19,11 +20,13 @@ from knpair.modstruct import (
     in_TgkH,
     is_h_free,
     k_normality,
+    kernel_basis,
     mod_action,
     xn1,
 )
 from knpair.search import (
     _Predicates,
+    _span,
     census,
     count_N,
     count_from_profile,
@@ -37,6 +40,17 @@ from knpair.search import (
 
 def test_direct_search_exception_4_5():
     assert not direct_search(4, 5).found
+    # alpha = beta^q - beta ranges over the image of (x - 1) o ., the elements
+    # whose F_q-order divides (x^5 - 1)/(x - 1); a 1-normal one has exactly that
+    # order.  The element profile holds no primitive such alpha (gcd 1) whose
+    # inverse is 1-normal too (an order of degree 4).
+    ctx = field_for(4, 5)
+    tables = scan_tables(ctx)
+    x_minus_1 = PolyQ(ctx.fq, (ctx.fq.neg(1), 1))
+    image_order = divisor_lattice(ctx).div_index[xn1(ctx) // x_minus_1]
+    assert tables.divisors[image_order].degree == 4
+    assert not [key for key in tables.profile
+                if key[0] == image_order and key[1] == 1 and tables.divisors[key[2]].degree == 4]
 
 
 def test_direct_search_found_cases():
@@ -230,7 +244,7 @@ def test_count_N_full_seed_positivity_equivalence():
         assert (total > 0) == search_pair(q, n, r, k).found
 
 
-@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 4), (5, 5), (9, 3), (16, 3)])
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 4), (5, 5), (9, 3), (16, 3), (27, 2), (17, 2)])
 def test_scan_tables_against_direct_predicates(q, n):
     # fq_order (orbit descent), mult_order, _inv and _pow share no code with
     # the kernel walk and the linear dlog walk that build the tables
@@ -253,6 +267,57 @@ def test_scan_tables_against_direct_predicates(q, n):
         a = ctx.from_code(c)
         want[orders[c], ctx.N // mult_order(a), orders[a.inv().code()]] += 1
     assert tables.profile == want
+
+
+def _tuple_tables(ctx):
+    """ord_idx, log_codes and profile built on coefficient tuples, with no
+    packed ints: the order table writes each divisor's index over _span of
+    its kernel_basis, from the last divisor to the first, and the dlog walk
+    adds two looked-up tuples with ctx._add per step."""
+    lattice = divisor_lattice(ctx)
+    n, N, q = ctx.n, ctx.N, ctx.q
+
+    def code(coeffs):
+        return sum(c * q**i for i, c in enumerate(coeffs))
+
+    ord_idx = [lattice.top] * ctx.order
+    for idx in range(lattice.top - 1, -1, -1):
+        for alpha in _span(ctx, kernel_basis(ctx, lattice.divisors[idx].coeffs)):
+            ord_idx[code(alpha)] = idx
+    pc = find_primitive(ctx).coeffs
+    images = [ctx._mul(tuple(int(i == j) for i in range(n)), pc) for j in range(n)]
+    m = n // 2
+    low, high = list(_span(ctx, images[:m])), list(_span(ctx, images[m:]))
+    ords, log_codes = [], [-1] * ctx.order
+    cur = ctx.one().coeffs
+    for e in range(N):
+        c = code(cur)
+        ords.append(ord_idx[c])
+        log_codes[c] = e
+        hi, lo = divmod(c, q**m)
+        cur = ctx._add(low[lo], high[hi])
+    # prim^-e = prim^(-e mod N), and gcd(0, N) = N
+    profile = Counter((ords[e], gcd(e, N), ords[-e % N]) for e in range(N))
+    return ord_idx, log_codes, profile
+
+
+def _assert_tables_match_tuple_build(q, n):
+    tables = scan_tables(field_for(q, n))
+    ord_idx, log_codes, profile = _tuple_tables(tables.ctx)
+    assert tables.ord_idx == ord_idx, (q, n)
+    assert tables.log_codes == log_codes, (q, n)
+    assert tables.profile == profile, (q, n)
+
+
+def test_scan_tables_against_tuple_build_grid():
+    # every p, t = 1 and t > 1, n = 1 (one lane: the packed value is the code)
+    for q, n in field_grid(1024):
+        _assert_tables_match_tuple_build(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(13, 4), (7, 5), (2, 16), (3, 10)])
+def test_scan_tables_against_tuple_build(q, n):
+    _assert_tables_match_tuple_build(q, n)
 
 
 def _profile_oracle(ctx, g, direct):
