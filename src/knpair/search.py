@@ -1,42 +1,49 @@
 """Exhaustive ground truth: pair searches, the Eq-style counting oracle, and
 element censuses.
 
-Two engines coexist, and both read the divisor lattice of x^n - 1
-(modstruct.divisor_lattice).  The streaming engine is what the searches
-use; it never builds field-sized tables, so found-cases exit early and
-not-found cases stay within memory.  search_pair visits only the k-normal
-elements, those whose F_q-order h has degree n - k: for each such h it
-enumerates ker h(sigma) from an echelon basis, which comes out in code
-order, keeps the elements that no (h/f)(sigma) with f a prime factor of h
-sends to zero, and merges these streams by code.  Each candidate then has
-its inverse's k-normality checked by descent through the lattice's
-quotients, and its exact order last.  The descent and the streams apply
-the matrix of each divisor's h(sigma), built once per context
-(_divisor_matrices): one matrix-vector product per quotient, no Frobenius
-orbit.  direct_search walks, in code order, the beta whose constant
-coefficient is 0, which give every alpha = beta^q - beta, with the same
-per-element predicates.  The table engine builds,
-once per context, the F_q-order table first and then one discrete-log
-walk, both on packed ints: an element's n*t F_p coordinates, the base-p
-digits of its code, sit in lanes of one int (_Lanes), so an addition is one
-XOR for p = 2 and a few int operations for odd p.  The F_q-order table
-starts at the index of x^n - 1, whose kernel is the whole field, and
-streams every other ker h(sigma), from the F_p basis y^j b of its echelon
-basis (modstruct.kernel_basis, as search_pair uses), from the last divisor
-to the first; the last kernel to reach an element is the least one holding
-it, which is its order.  The walk applies the F_p-linear map "multiply by a
-primitive element" q^n - 1 times, two lookups and one addition per step,
-records each element's discrete log and the order index of prim^e, and
-ends in one histogram, the element profile: the nonzero a counted by
-(order of a, gcd(dlog a, q^n - 1), order of a^-1).  These are the only
-facts of an element that the counts read, so
-censuses, pair_profile and count_from_profile are folds over the
-profile's keys, with no loop over elements; their polynomial-side
-predicates compare exponent vectors, the lattice's for F_q-orders and
-modstruct.exponents for g, h and H.  The tables live
-on the context (FieldCtx.memo) like every other per-field object.
-Every witness a search returns passes pair_verified, the direct modstruct
-predicates, before it is reported.
+Two engines coexist, both on one element representation, packed ints
+(_Lanes): an element's n*t F_p coordinates, the base-p digits of its code,
+sit in lanes of one int, so packed values compare as codes do, and an
+addition is one XOR for p = 2 and a few int operations for odd p.  Both read
+the divisor lattice of x^n - 1 (modstruct.divisor_lattice) and the echelon
+bases of the kernels ker h(sigma) (modstruct.kernel_basis).
+
+The streaming engine is what the searches use; it never builds a
+field-sized table, so found-cases exit early and not-found cases stay within
+memory.  search_pair visits only the k-normal elements, those whose F_q-order
+h has degree n - k: for each such h it streams ker h(sigma), in code order,
+as the sums of the spans of the two halves of its F_p basis, each element
+carried in one int together with its images under (h/f)(sigma) for the prime
+factors f of h; it keeps those no image sends to zero, and merges these
+streams by value.  Each stream also marks the start of every run it enters,
+so no stream walks more than one run past the hit.  A conjugate
+alpha^(q^i) lies in the same stream and has the same verdict, so only the
+least of its conjugates, the first to come, is tested.  Each candidate then
+has its inverse's k-normality checked by descent through the lattice's
+quotients, and its exact order last.  The descent applies h(sigma) by lookup
+tables over groups of lanes (_Lanes.linear_map), built from the divisor's
+matrix (modstruct.action_columns) on first use and kept on the context;
+only the inverse and the order test take coefficient tuples.  direct_search
+walks, in code order, the beta whose constant coefficient is 0, which give
+every alpha = beta^q - beta, each beta carried with its alpha, with the
+same per-element predicates.
+
+The table engine builds, once per context, the F_q-order table first and
+then one discrete-log walk.  The F_q-order table starts at the index of
+x^n - 1, whose kernel is the whole field, and streams every other
+ker h(sigma), from the last divisor to the first; the last kernel to reach
+an element is the least one holding it, which is its order.  The walk
+applies the F_p-linear map "multiply by a primitive element" q^n - 1 times,
+two lookups and one addition per step, records each element's discrete log
+and the order index of prim^e, and ends in one histogram, the element
+profile: the nonzero a counted by (order of a, gcd(dlog a, q^n - 1), order
+of a^-1).  These are the only facts of an element that the counts read, so
+censuses, pair_profile and count_from_profile are folds over the profile's
+keys, with no loop over elements; their polynomial-side predicates compare
+exponent vectors, the lattice's for F_q-orders and modstruct.exponents for
+g, h and H.  The tables live on the context (FieldCtx.memo) like every other
+per-field object.  Every witness a search returns passes pair_verified, the
+direct modstruct predicates, before it is reported.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd as int_gcd
-from operator import mul
 
 from .errors import FieldTooLarge, NotADivisor, RNotDivisor
 from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
@@ -75,99 +81,40 @@ class SearchOutcome:
 
 # -- per-context scaffolding -----------------------------------------------------
 
-def _divisor_matrices(ctx: FieldCtx) -> list[list[tuple]]:
-    """The matrix of h(sigma) (modstruct.action_columns) of every lattice divisor h, by index."""
-    return [action_columns(ctx, h.coeffs) for h in divisor_lattice(ctx).divisors]
-
-
-class _Predicates:
-    """Streaming per-element predicate kit for one context."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        lattice = divisor_lattice(ctx)
-        self.divisors = lattice.divisors
-        self.factors = lattice.factors
-        self.quot = lattice.quot
-        self.top = lattice.top
-        self.matrices = ctx.memo(_divisor_matrices)
-        self.zero = (0,) * ctx.n
-
-    def ord_divisor_index(self, coeffs: tuple) -> int:
-        """Index of the F_q-order of the element with these coefficients, by
-        descent from x^n - 1: one product with each quotient's matrix."""
-        combine, matrices, quot, zero = self.ctx._combine, self.matrices, self.quot, self.zero
-        cur = self.top
-        for j, (_, e) in enumerate(self.factors):
-            for _ in range(e):
-                nxt = quot[cur][j]
-                if nxt < 0 or combine(coeffs, matrices[nxt]) != zero:
-                    break
-                cur = nxt
-        return cur
-
-    def knorm(self, coeffs: tuple) -> int:
-        return self.ctx.n - self.divisors[self.ord_divisor_index(coeffs)].degree
-
-    def exact_order(self, idx: int):
-        """(code, coeffs) of every element of F_q-order divisors[idx], in increasing code.
-
-        A kernel element's coordinate at the top of a kernel_basis vector is
-        its digit there, since the other vectors are 0 at that coordinate, and
-        two kernel elements first differ, reading from the top, at such a
-        coordinate; so the odometer over these vectors runs in code order.  It
-        carries the images under (h/f_j)(sigma) for the prime factors f_j of
-        h, and an element has order exactly h when none of them is zero.
-        """
-        ctx = self.ctx
-        basis = kernel_basis(ctx, self.divisors[idx].coeffs)
-        images = [[ctx._combine(v, self.matrices[j]) for v in basis] for j in self.quot[idx] if j >= 0]
-        weights = [ctx.q**i for i in range(ctx.n)]
-        for alpha in _span(ctx, basis, images):
-            yield sum(map(mul, alpha, weights)), alpha
-
-    def order_is(self, coeffs: tuple, r: int) -> bool:
-        """ord = (q^n - 1)/r, via one confirmation power and per-prime rejections."""
-        ctx = self.ctx
-        N = ctx.N
-        target = N // r
-        one = (1,) + (0,) * (ctx.n - 1)
-        if r > 1 and ctx._pow(coeffs, target) != one:
-            return False
-        for p, _ in ctx.fact_qn_minus_1.factors:
-            if target % p == 0 and ctx._pow(coeffs, target // p) == one:
-                return False
-        return True
-
-
 class _Lanes:
-    """F_{q^n} as packed ints, for the table engine.
+    """F_{q^n} as packed ints, for both engines.
 
     An element's code is the base-p number of its D = n*t F_p coordinates,
     digit k = i*t + j being digit j of coefficient i.  Its packed value holds
-    the same digits as w-bit lanes of one int, digit k in lane k.  For p = 2,
-    w = 1: the packed value is the code and addition is XOR.  For odd p,
-    w = p.bit_length() + 1, so a lane-wise sum of two digits, at most 2p - 2,
-    stays in its lane; adding K, 2^(w-1) - p in every lane, sets a lane's top
-    bit (HI) exactly where its sum reached p, and p is taken off there.  A
-    packed value becomes a code through two tables, one for the low ``m``
-    lanes and one for the others, each indexed by the packed value of its
-    lanes and holding the code of their digits.
+    the same digits as w-bit lanes of one int, digit k in lane k, so packed
+    values compare as their codes do.  For p = 2, w = 1: the packed value is
+    the code and addition is XOR.  For odd p, w = p.bit_length() + 1, so a
+    lane-wise sum of two digits, at most 2p - 2, stays in its lane; adding K,
+    2^(w-1) - p in every lane, sets a lane's top bit (HI) exactly where its
+    sum reached p, and p is taken off there.  ``copies`` elements can sit side
+    by side in one int, element c in the ``width`` bits from c*width up; add
+    and span then act on all of them at once.
     """
 
-    def __init__(self, ctx: FieldCtx):
+    def __init__(self, ctx: FieldCtx, copies: int = 1):
         self.ctx = ctx
         self.p = p = ctx.p
         self.D = D = ctx.n * ctx.t
         self.w = w = 1 if p == 2 else p.bit_length() + 1
-        ones = sum(1 << w * k for k in range(D))
+        self.width = w * D
+        ones = sum(1 << w * k for k in range(D * copies))
         self.K, self.HI = ((1 << w - 1) - p) * ones, (1 << w - 1) * ones
         self.m = m = D // 2
         self.split = p**m
         self.shift = w * m
         self.mask = (1 << w * m) - 1
-        if p > 2:
-            self.decode_lo, self.decode_hi = self._decoder(m), self._decoder(D - m)
+        # one F_q coefficient is t lanes: its packed value by code, and back
+        self.coeff_bits = w * ctx.t
+        self.digit = self.span([1 << w * j for j in range(ctx.t)])
+        self.digit_code = _scatter(self.digit, range(ctx.q))
+        # linear_map's lane groups
+        self.group = g = max(1, 8 // w)
+        self.group_mask = (1 << w * g) - 1
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -176,14 +123,20 @@ class _Lanes:
         return s - (((s + self.K) & self.HI) >> self.w - 1) * self.p
 
     def pack(self, coeffs: tuple) -> int:
-        code, q, p, w = 0, self.ctx.q, self.p, self.w
-        for c in reversed(coeffs):
+        digit, bits = self.digit, self.coeff_bits
+        return sum(digit[c] << bits * i for i, c in enumerate(coeffs))
+
+    def unpack(self, packed: int) -> tuple:
+        digit_code, bits, mask = self.digit_code, self.coeff_bits, (1 << self.coeff_bits) - 1
+        return tuple(digit_code[packed >> bits * i & mask] for i in range(self.ctx.n))
+
+    def code(self, packed: int) -> int:
+        if self.p == 2:
+            return packed
+        code, q = 0, self.ctx.q
+        for c in reversed(self.unpack(packed)):
             code = code * q + c
-        packed = 0
-        for k in range(self.D):
-            code, d = divmod(code, p)
-            packed |= d << w * k
-        return packed
+        return code
 
     def fp_basis(self, vectors: list[tuple]) -> list[int]:
         """y^j b for b in vectors and j < t, packed: an F_p basis of their F_q
@@ -202,14 +155,168 @@ class _Lanes:
             out = [add(s, c) for c in multiples for s in out]
         return out
 
+    def decoders(self) -> tuple[list[int], list[int]]:
+        """Two tables that turn a packed value into its code, for odd p: the
+        code of its low m lanes and of the others, each by the packed value of
+        those lanes.  Each has one entry per packed value up to the largest,
+        so the pair grows with the field; only the table engine builds them."""
+        return self._decoder(self.m), self._decoder(self.D - self.m)
+
     def _decoder(self, lanes: int) -> list[int]:
         """The code of the digits in the first ``lanes`` lanes, by packed value;
         one entry per packed value up to the largest, all digits p - 1."""
         packed = self.span([1 << self.w * k for k in range(lanes)])
-        table = [0] * (packed[-1] + 1)
-        for code, v in enumerate(packed):
-            table[v] = code
-        return table
+        return _scatter(packed, range(len(packed)))
+
+    def linear_map(self, images: list[int]) -> list[tuple[int, list[int]]]:
+        """The F_p-linear map that sends lane k's unit to images[k], as
+        (shift, table) pairs: one per group of g = max(1, 8 // w) lanes, from
+        bit ``shift`` up, its table indexed by the packed value of the group's
+        lanes, so it has at most max(2^8, 2^w) entries.  The map's value at a
+        is the lane-wise sum of table[a >> shift & group_mask] over the pairs."""
+        w, g = self.w, self.group
+        # the packed values of a group's lanes, by index; a shorter last group
+        # takes a prefix
+        keys = self.span([1 << w * i for i in range(min(g, self.D))])
+        return [(w * k, _scatter(keys, self.span(images[k:k + g]))) for k in range(0, self.D, g)]
+
+    def apply(self, pairs: list[tuple[int, list[int]]], a: int) -> int:
+        """The linear map with these linear_map tables at the packed a."""
+        mask, acc = self.group_mask, 0
+        if self.p == 2:
+            for shift, table in pairs:
+                acc ^= table[a >> shift & mask]
+            return acc
+        p, K, HI, top_bit = self.p, self.K, self.HI, self.w - 1
+        for shift, table in pairs:
+            acc += table[a >> shift & mask]
+            acc -= (((acc + K) & HI) >> top_bit) * p
+        return acc
+
+
+def _scatter(keys: list[int], values) -> list[int]:
+    """A list holding values[i] at keys[i], 0 elsewhere, up to the last key read."""
+    table = [0] * (keys[len(values) - 1] + 1)
+    for key, v in zip(keys, values):
+        table[key] = v
+    return table
+
+
+class _Predicates:
+    """Streaming per-element predicate kit for one context, on packed ints.
+
+    Elements are packed (_Lanes) wherever the search reads them; only _inv
+    and order_is take coefficient tuples.  The map h(sigma) of a lattice
+    divisor h is kept as _Lanes.linear_map tables, built from its matrix
+    (modstruct.action_columns) the first time the descent or a stream asks
+    for it; sigma itself, for conjugate_first, is built with the kit.  The
+    searches keep one kit per context (FieldCtx.memo).
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        lattice = divisor_lattice(ctx)
+        self.divisors = lattice.divisors
+        self.degrees = [h.degree for h in lattice.divisors]
+        self.factors = lattice.factors
+        self.quot = lattice.quot
+        self.top = lattice.top
+        self.lanes = lanes = _Lanes(ctx)
+        self._maps: list = [None] * len(self.divisors)
+        self.sigma = lanes.linear_map(lanes.fp_basis(ctx.memo(FieldCtx._build_frob_powers)[1 % ctx.n]))
+
+    def image(self, idx: int, a: int) -> int:
+        """h(sigma)(a), h = divisors[idx], for the packed element a, packed."""
+        pairs = self._maps[idx]
+        if pairs is None:
+            lanes = self.lanes
+            columns = action_columns(self.ctx, self.divisors[idx].coeffs)
+            pairs = self._maps[idx] = lanes.linear_map(lanes.fp_basis(columns))
+        return self.lanes.apply(pairs, a)
+
+    def conjugate_first(self, a: int) -> bool:
+        """Whether the packed element a is the least of its conjugates a^(q^i)."""
+        apply, sigma = self.lanes.apply, self.sigma
+        b = apply(sigma, a)
+        while b > a:
+            b = apply(sigma, b)
+        return b == a
+
+    def ord_divisor_index(self, a: int) -> int:
+        """Index of the F_q-order of the packed element a, by descent from
+        x^n - 1: one image under each quotient tried."""
+        quot, image = self.quot, self.image
+        cur = self.top
+        for j, (_, e) in enumerate(self.factors):
+            for _ in range(e):
+                nxt = quot[cur][j]
+                if nxt < 0 or image(nxt, a):
+                    break
+                cur = nxt
+        return cur
+
+    def knorm(self, a: int) -> int:
+        return self.ctx.n - self.degrees[self.ord_divisor_index(a)]
+
+    def exact_order(self, idx: int):
+        """Every element of ker h(sigma), h = divisors[idx], in increasing
+        code, as 2a + 1 for the packed a of F_q-order exactly h; a run of
+        elements also starts with 2a for its first a, whatever its order.
+
+        A kernel element's coordinate at the top of a kernel_basis vector is
+        its digit there, since the other vectors are 0 at that coordinate, and
+        two kernel elements first differ, reading from the top, at such a
+        coordinate; so the span of the F_p basis y^j b, by index, runs in code
+        order.  It is streamed as the sums of the spans of the two halves of
+        that basis, each run one element of the high half's span plus every
+        element of the low half's.  Each element is carried in one int
+        together with its images under (h/f_j)(sigma) for the prime factors
+        f_j of h, stacked below it, and has order exactly h when none of them
+        is zero.  The even values mark how far the stream has walked: merged
+        by value with other streams, no stream walks more than one run past
+        the least element taken so far.
+        """
+        ctx, lanes = self.ctx, self.lanes
+        maps = [j for j in self.quot[idx] if j >= 0]
+        W, S = lanes.width, len(maps) * lanes.width
+        vectors = [sum((self.image(j, u) << i * W for i, j in enumerate(maps)), u << S)
+                   for u in lanes.fp_basis(kernel_basis(ctx, self.divisors[idx].coeffs))]
+        stacked = _Lanes(ctx, len(maps) + 1)
+        half = len(vectors) // 2
+        lows, highs = stacked.span(vectors[:half]), stacked.span(vectors[half:])
+        # a W-bit image x is nonzero exactly when bit W - 1 of
+        # ((x & LOW) + LOW) | x is set, LOW being its W - 1 low bits
+        LOW = sum(((1 << W - 1) - 1) << i * W for i in range(len(maps)))
+        TOP = sum(1 << (i + 1) * W - 1 for i in range(len(maps)))
+        if lanes.p == 2:
+            for hv in highs:
+                yield hv >> S << 1
+                for lv in lows:
+                    v = lv ^ hv
+                    if ((v & LOW) + LOW | v) & TOP == TOP:
+                        yield v >> S << 1 | 1
+            return
+        p, K, HI, top_bit = stacked.p, stacked.K, stacked.HI, stacked.w - 1
+        for hv in highs:
+            yield hv >> S << 1
+            for lv in lows:
+                v = lv + hv
+                v -= (((v + K) & HI) >> top_bit) * p
+                if ((v & LOW) + LOW | v) & TOP == TOP:
+                    yield v >> S << 1 | 1
+
+    def order_is(self, coeffs: tuple, r: int) -> bool:
+        """ord = (q^n - 1)/r, via one confirmation power and per-prime rejections."""
+        ctx = self.ctx
+        N = ctx.N
+        target = N // r
+        one = (1,) + (0,) * (ctx.n - 1)
+        if r > 1 and ctx._pow(coeffs, target) != one:
+            return False
+        for p, _ in ctx.fact_qn_minus_1.factors:
+            if target % p == 0 and ctx._pow(coeffs, target // p) == one:
+                return False
+        return True
 
 
 class _ScanTables:
@@ -228,7 +335,8 @@ class _ScanTables:
         self.divisors = lattice.divisors
         self.top = lattice.top
         N, lanes = ctx.N, _Lanes(ctx)
-        self.ord_idx = ord_idx = self._order_table(lanes)
+        decode = lanes.decoders() if lanes.p > 2 else None
+        self.ord_idx = ord_idx = self._order_table(lanes, decode)
         # multiplication by the primitive element is F_q-linear: it sends
         # y^j x^i, the element in lane i*t + j, to y^j times the image of x^i;
         # its value at a is the sum of its values at the low m lanes of a and
@@ -247,7 +355,7 @@ class _ScanTables:
                 code = low[code & mask] ^ high[code >> shift]
         else:
             p, K, HI, top_bit = lanes.p, lanes.K, lanes.HI, lanes.w - 1
-            decode_lo, decode_hi = lanes.decode_lo, lanes.decode_hi
+            decode_lo, decode_hi = decode
             cur = 1
             for e in range(N):
                 lo, hi = decode_lo[cur & mask], decode_hi[cur >> shift]
@@ -262,7 +370,7 @@ class _ScanTables:
         inverse_ords = chain(ords[:1], reversed(ords))
         self.profile = Counter(zip(ords, map(int_gcd, range(N), repeat(N)), inverse_ords))
 
-    def _order_table(self, lanes: _Lanes) -> list[int]:
+    def _order_table(self, lanes: _Lanes, decode) -> list[int]:
         """F_q-order index of every code, from the kernels of h(sigma).
 
         An element lies in ker h(sigma) exactly when its order divides h, so
@@ -286,53 +394,13 @@ class _ScanTables:
                     for v in lows:
                         table[v ^ h] = idx
                 continue
-            decode_lo, decode_hi = lanes.decode_lo, lanes.decode_hi
+            decode_lo, decode_hi = decode
             for h in highs:
                 for v in lows:
                     s = v + h
                     s -= (((s + K) & HI) >> top_bit) * p
                     table[decode_lo[s & mask] + decode_hi[s >> shift] * split] = idx
         return table
-
-
-def _span(ctx: FieldCtx, basis: list[tuple], images: list[list[tuple]] = ()):
-    """sum_j c_j * basis[j] for every coefficient vector c, in code order of c.
-
-    An odometer over c with one addition per carry; the per-digit code steps
-    are not +1 in F_q once t > 1, so the deltas between consecutive scalar
-    multiples are precomputed.  ``images`` holds, for each of some F_q-linear
-    maps L, the list [L(b) for b in basis]; the odometer then carries every
-    L(alpha) along, one more addition per map per carry, and skips each alpha
-    that some L sends to zero (the zero vector among them).
-    """
-    q = ctx.q
-
-    def deltas(vectors):
-        return [[ctx._sub(ctx._scale(b, (c + 1) % q), ctx._scale(b, c)) for c in range(q)]
-                for b in vectors]
-
-    delta = deltas(basis)
-    image_delta = [deltas(col) for col in images]
-    zero = (0,) * ctx.n
-    digits = [0] * len(basis)
-    alpha, carried = zero, [zero] * len(images)
-    if zero not in carried:
-        yield alpha
-    add = ctx._add
-    for _ in range(q ** len(basis) - 1):
-        j = 0
-        while True:
-            c = digits[j]
-            alpha = add(alpha, delta[j][c])
-            if image_delta:
-                carried = [add(v, d[j][c]) for v, d in zip(carried, image_delta)]
-            if c + 1 < q:
-                digits[j] = c + 1
-                break
-            digits[j] = 0
-            j += 1
-        if zero not in carried:
-            yield alpha
 
 
 def scan_tables(ctx: FieldCtx) -> _ScanTables:
@@ -351,28 +419,38 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
     and both alpha, alpha^-1 k-normal.
 
     ``scanned`` is the number of codes up to the witness, which is its code,
-    or q^n - 1 when there is none."""
+    or q^n - 1 when there is none.  k must lie in [0, n]."""
     ctx = field_for(q, n)
     _ceiling_check(ctx, ceiling_bits)
     if r < 1 or ctx.N % r:
         raise RNotDivisor(f"r = {r} does not divide q^n - 1")
-    preds = _Predicates(ctx)
+    if not 0 <= k <= ctx.n:
+        raise ValueError(f"k = {k} is not in [0, n] = [0, {ctx.n}]")
+    preds = ctx.memo(_Predicates)
+    lanes = preds.lanes
     t0 = time.perf_counter()
     # the k-normal elements are those of F_q-order of degree n - k; the zero
     # element, of order 1, is not among them
-    streams = [preds.exact_order(idx) for idx, h in enumerate(preds.divisors)
-               if k < ctx.n and h.degree == ctx.n - k]
+    streams = [preds.exact_order(idx) for idx, d in enumerate(preds.degrees)
+               if k < ctx.n and d == ctx.n - k]
     # imported here: loading heapq adds about 0.2 MiB to the peak RSS of
     # every process that imports knpair, and only this search needs it
     from heapq import merge
 
     hit = None
-    for code, coeffs in merge(*streams):
-        inv = ctx._inv(coeffs)
-        if preds.knorm(inv) != k:
+    for v in merge(*streams):
+        if not v & 1:  # a stream's mark of how far it has walked
+            continue
+        alpha = v >> 1
+        # a conjugate alpha^(q^i) has the same F_q-order and order as alpha,
+        # and so has its inverse; the least conjugate came first and failed
+        if not preds.conjugate_first(alpha):
+            continue
+        coeffs = lanes.unpack(alpha)
+        if preds.knorm(lanes.pack(ctx._inv(coeffs))) != k:
             continue
         if preds.order_is(coeffs, r):
-            hit = code
+            hit = lanes.code(alpha)
             break
     elapsed = time.perf_counter() - t0
     if hit is None:
@@ -409,21 +487,29 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
     when there is none."""
     ctx = field_for(q, n)
     _ceiling_check(ctx, ceiling_bits)
-    preds = _Predicates(ctx)
+    preds = ctx.memo(_Predicates)
+    lanes = preds.lanes
     t0 = time.perf_counter()
+    # the beta with beta_0 = 0, from the F_p basis y^j x^i with i >= 1, each
+    # stacked over its image under sigma - 1; by index, in code order of beta
+    units = [tuple(int(i == j) for i in range(ctx.n)) for j in range(1, ctx.n)]
+    W = lanes.width
+    vectors = [b << W | a for b, a in zip(lanes.fp_basis(units),
+                                          lanes.fp_basis([ctx._sub(ctx._frob(u), u) for u in units]))]
+    stacked = _Lanes(ctx, 2)
+    half = len(vectors) // 2
+    lows, highs = stacked.span(vectors[:half]), stacked.span(vectors[half:])
+    add, low_mask = stacked.add, (1 << W) - 1
     hit = None
-    for code in range(0, ctx.order, ctx.q):
-        beta = ctx.from_code(code).coeffs
-        alpha = ctx._sub(ctx._frob(beta), beta)
-        if all(c == 0 for c in alpha):
+    for v in (add(lv, hv) for hv in highs for lv in lows):
+        alpha = v & low_mask
+        if not alpha or preds.knorm(alpha) != 1:
             continue
-        if preds.knorm(alpha) != 1:
+        coeffs = lanes.unpack(alpha)
+        if preds.knorm(lanes.pack(ctx._inv(coeffs))) != 1:
             continue
-        inv = ctx._inv(alpha)
-        if preds.knorm(inv) != 1:
-            continue
-        if preds.order_is(alpha, 1):
-            hit = code
+        if preds.order_is(coeffs, 1):
+            hit = lanes.code(v >> W)
             break
     elapsed = time.perf_counter() - t0
     if hit is None:

@@ -215,6 +215,34 @@ def test_criterion_06b_two_primitive_two_normal_found():
             assert all(48 * e % N == 0 for e in both), "a 2-normal pair of order not dividing 48"
 
 
+# (q, n, r, k) -> (modulus constant term first, c) such that x + c generates
+# the unit group of F_q[x]/(modulus); every row is a prime field
+PRIME_FIELD_NOT_FOUND = {
+    (2, 3, 1, 0): ((1, 0, 1, 1), 0),
+    (2, 4, 1, 0): ((1, 0, 0, 1, 1), 0),
+    (3, 4, 1, 0): ((1, 1, 0, 2, 1), 1),
+    (5, 4, 1, 0): ((1, 0, 2, 2, 1), 1),
+    (2, 6, 1, 1): ((1, 0, 0, 0, 0, 1, 1), 0),
+    (3, 4, 2, 2): ((1, 1, 0, 2, 1), 1),
+    (7, 5, 2, 2): ((1, 0, 0, 0, 3, 1), 4),
+}
+
+
+@pytest.mark.parametrize("q,n,r,k", sorted(PRIME_FIELD_NOT_FOUND))
+def test_criterion_06b_oracle_prime_field_not_found_rows(q, n, r, k):
+    """The other prime-field not-found rows of search_pair, confirmed by 6b's
+    independent enumeration, which shares no code with knpair: no r-primitive
+    k-normal alpha has a k-normal inverse, and the enumeration's pair counts
+    by k equal the table engine's census."""
+    out, N = search_pair(q, n, r, k), q**n - 1
+    assert not out.found and out.scanned == N
+    modulus, c = PRIME_FIELD_NOT_FOUND[q, n, r, k]
+    kn = _independent_knormality(q, n, modulus, c)
+    r_prim = [e for e in range(N) if gcd(e, N) == r]
+    assert not [e for e in r_prim if kn[e] == k and kn[-e % N] == k]
+    assert census(q, n, "pair_table", r) == Counter(kn[e] for e in r_prim if kn[e] == kn[-e % N])
+
+
 def test_criterion_07_sieve_algorithm_fidelity():
     exceptions = [(4, 15), (5, 16), (5, 24), (8, 14), (9, 16), (16, 15), (17, 16), (19, 18)]
     ok = all(not sieve_search(q, n, 3).found for q, n in exceptions)

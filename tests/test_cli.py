@@ -131,6 +131,12 @@ def test_search_pair_exits():
     assert verify_report(rep)
 
 
+def test_search_pair_rejects_k_outside_0_n():
+    for k in ("-1", "4"):
+        code, out = run_cli("search-pair", "--q", "4", "--n", "3", "--r", "1", "--k", k)
+        assert code == 2 and out == ""
+
+
 def test_verify_report_rejects_tampered_witness():
     code, rep = run_cli("search-pair", "--q", "3", "--n", "4", "--r", "2", "--k", "1")
     assert code == 0 and verify_report(rep)

@@ -458,9 +458,10 @@ def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):
 
 def test_power_basis_orbits_built_once(monkeypatch):
     # the powers of sigma on the power basis (the Frobenius orbits of
-    # x^0..x^(n-1)) and the matrices of h(sigma) for every lattice divisor
-    # live on the context's memo: every kernel basis, both searches and the
-    # table build share one build of each
+    # x^0..x^(n-1)) and the searches' predicate kit, which keeps the packed
+    # maps h(sigma) of the lattice divisors, live on the context's memo:
+    # every kernel basis, both searches and the table build share one build
+    # of each
     base = field_for(4, 6)
     ctx = FieldCtx(base.fq, base.n, base.ext_modulus)  # fresh memo
     builds = Counter()
@@ -472,7 +473,7 @@ def test_power_basis_orbits_built_once(monkeypatch):
         return build
 
     monkeypatch.setattr(FieldCtx, "_build_frob_powers", counted("powers", FieldCtx._build_frob_powers))
-    monkeypatch.setattr(search, "_divisor_matrices", counted("matrices", search._divisor_matrices))
+    monkeypatch.setattr(search, "_Predicates", counted("predicates", search._Predicates))
     monkeypatch.setattr(search, "field_for", lambda q, n: ctx)
     lattice = divisor_lattice(ctx)
     for h in lattice.divisors:
@@ -480,4 +481,5 @@ def test_power_basis_orbits_built_once(monkeypatch):
     assert not search.search_pair(4, 6, 1, 1).found
     assert search.search_pair(4, 6, 3, 0).found
     assert search.scan_tables(ctx).ord_idx[0] == 0
-    assert builds == {"powers": 1, "matrices": 1}
+    assert not search.direct_search(4, 6).found
+    assert builds == {"powers": 1, "predicates": 1}

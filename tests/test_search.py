@@ -26,7 +26,6 @@ from knpair.modstruct import (
 )
 from knpair.search import (
     _Predicates,
-    _span,
     census,
     count_N,
     count_from_profile,
@@ -145,19 +144,105 @@ def test_search_pair_against_straight_loop(q, n):
 
 @pytest.mark.parametrize("q,n", SMALL_GRID)
 def test_exact_order_streams(q, n):
+    # each stream runs in code order over ker h(sigma): its odd values 2a + 1
+    # are exactly the packed a of F_q-order h, and its even values 2a, the
+    # marks of how far it has walked, are kernel elements at the start of a
+    # run that never exceed the next value
     ctx = field_for(q, n)
-    want = {}
-    for code in range(ctx.order):
-        want.setdefault(fq_order(ctx.from_code(code)), set()).add(code)
     preds = _Predicates(ctx)
+    lanes = preds.lanes
+    want, kernel = {}, {}
+    for code in range(ctx.order):
+        a = ctx.from_code(code)
+        order = fq_order(a)
+        want.setdefault(order, set()).add(code)
+        for h in preds.divisors:
+            if (h % order).is_zero():  # a lies in ker h(sigma)
+                kernel.setdefault(h, set()).add(code)
     got = {}
     for idx, h in enumerate(preds.divisors):
         stream = list(preds.exact_order(idx))
-        codes = [code for code, _ in stream]
+        assert stream[0] == 0  # a mark at the zero element, which every kernel holds
+        assert all(a <= b for a, b in zip(stream, stream[1:]))
+        exact = [v >> 1 for v in stream if v & 1]
+        codes = [lanes.code(a) for a in exact]
         assert all(a < b for a, b in zip(codes, codes[1:]))
-        assert all(ctx.from_code(code).coeffs == coeffs for code, coeffs in stream)
+        assert exact == [lanes.pack(ctx.from_code(code).coeffs) for code in codes]
+        assert {lanes.code(v >> 1) for v in stream if not v & 1} <= kernel[h]
         got[h] = set(codes)
     assert got == want
+
+
+def test_packed_descent_against_fq_order():
+    # every element of every field of at most 512 elements, and of F_9^3 and
+    # F_27^2 (t > 1, odd p, p | n): the packed descent's order is fq_order's,
+    # which walks the Frobenius orbit and shares no code with the lane tables,
+    # and the packed conjugates agree with FieldElement.frob
+    for q, n in field_grid(512) + [(9, 3), (27, 2)]:
+        ctx = field_for(q, n)
+        preds = _Predicates(ctx)
+        lanes = preds.lanes
+        for a in ctx.elements():
+            packed = lanes.pack(a.coeffs)
+            assert lanes.unpack(packed) == a.coeffs and lanes.code(packed) == a.code()
+            assert preds.divisors[preds.ord_divisor_index(packed)] == fq_order(a), (q, n, a.code())
+            least = min(a.frob(i).code() for i in range(n))
+            assert preds.conjugate_first(packed) == (a.code() == least), (q, n, a.code())
+
+
+def test_search_pair_late_hit_stops_every_stream(monkeypatch):
+    # x^7 - 1 splits into 7 linear factors over F_8, so seven streams of
+    # degree-6 orders merge; six of them hold no exact-order element below the
+    # hit, and each may start at most one run past it
+    import knpair.search as search
+
+    real, marks = search._Predicates.exact_order, {}
+
+    def recorded(self, idx):
+        for v in real(self, idx):
+            if not v & 1:
+                marks.setdefault(idx, []).append(self.lanes.code(v >> 1))
+            yield v
+
+    monkeypatch.setattr(search._Predicates, "exact_order", recorded)
+    out = search_pair(8, 7, 1, 1)
+    assert out.found and out.witness.code() == out.scanned == 37450
+    assert len(marks) == 7
+    assert all(sum(code > 37450 for code in codes) <= 1 for codes in marks.values())
+
+
+def test_predicates_build_no_field_sized_table():
+    # F_3^15 is under the 2^24 enumeration ceiling; the table engine's two
+    # packed-value decoders would take about 42 MiB there
+    import tracemalloc
+
+    ctx = field_for(3, 15)
+    tracemalloc.start()
+    try:
+        preds = _Predicates(ctx)
+        knorm = preds.knorm(preds.lanes.pack(ctx.from_code(12345).coeffs))
+        first = next(preds.exact_order(preds.top))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert knorm == k_normality(ctx.from_code(12345)) and first == 0
+    assert peak < 2 << 20, peak
+
+
+def test_search_pair_rejects_k_outside_0_n(monkeypatch):
+    import knpair.search as search
+
+    def walk(*args):
+        raise AssertionError("search_pair walked before checking k")
+
+    monkeypatch.setattr(search, "_Predicates", walk)
+    monkeypatch.setattr(search, "_Lanes", walk)
+    for k in (-1, 4, 7):
+        with pytest.raises(ValueError):
+            search_pair(4, 3, 1, k)
+    monkeypatch.undo()
+    out = search_pair(4, 3, 1, 3)  # k = n: only 0 has F_q-order 1
+    assert not out.found and out.scanned == 63
 
 
 def test_search_pair_bad_r():
@@ -269,6 +354,29 @@ def test_scan_tables_against_direct_predicates(q, n):
     assert tables.profile == want
 
 
+def _span(ctx, basis):
+    """sum_j c_j * basis[j] for every coefficient vector c, in code order of c,
+    on coefficient tuples: an odometer over c with one ctx._add per carry.
+    Once t > 1 the per-digit code steps are not +1 in F_q, so the deltas
+    between consecutive scalar multiples are precomputed."""
+    q = ctx.q
+    delta = [[ctx._sub(ctx._scale(b, (c + 1) % q), ctx._scale(b, c)) for c in range(q)] for b in basis]
+    digits = [0] * len(basis)
+    alpha = (0,) * ctx.n
+    yield alpha
+    for _ in range(q ** len(basis) - 1):
+        j = 0
+        while True:
+            c = digits[j]
+            alpha = ctx._add(alpha, delta[j][c])
+            if c + 1 < q:
+                digits[j] = c + 1
+                break
+            digits[j] = 0
+            j += 1
+        yield alpha
+
+
 def _tuple_tables(ctx):
     """ord_idx, log_codes and profile built on coefficient tuples, with no
     packed ints: the order table writes each divisor's index over _span of
@@ -375,7 +483,7 @@ def test_pair_profile_rejects_non_divisor(monkeypatch):
         raise AssertionError("pair_profile walked before checking g")
 
     monkeypatch.setattr(search, "scan_tables", walk)
-    monkeypatch.setattr(search, "_span", walk)
+    monkeypatch.setattr(search, "_Lanes", walk)  # every packed walk starts here
     ctx = field_for(2, 3)
     for g in [
         PolyQ.zero(ctx.fq),
@@ -395,7 +503,7 @@ def test_count_rejects_bad_arguments_before_walking(monkeypatch):
         raise AssertionError("a count walked before checking its arguments")
 
     monkeypatch.setattr(search, "scan_tables", walk)
-    monkeypatch.setattr(search, "_span", walk)
+    monkeypatch.setattr(search, "_Lanes", walk)  # every packed walk starts here
     ctx = field_for(2, 3)  # x^3 - 1 = (x + 1)(x^2 + x + 1), q^3 - 1 = 7 = R for r = 1
     P = lambda *c: PolyQ(ctx.fq, c)
     g, one, top = P(1, 1), P(1), xn1(ctx)  # G = x^2 + x + 1 for g = x + 1
