@@ -20,7 +20,7 @@ from math import prod
 
 from .errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from .ffield import FieldCtx, field_for
-from .fqpoly import PolyQ, degree_k_divisors, factor_poly
+from .fqpoly import PolyQ, exponent_vectors, factor_poly
 from .intarith import c_nu, factor_int, is_prime, rad_int
 from .modstruct import decompose_g, decompose_r, exponents, xn1, xn1_factorization
 
@@ -90,10 +90,11 @@ def _select_g(ctx: FieldCtx, k: int, g: PolyQ | None) -> PolyQ:
         if g.degree != k or not g.monic().divides(xn1(ctx)):
             raise NotADivisor("g must be a monic degree-k divisor of x^n - 1")
         return g.monic()
-    pk = degree_k_divisors(xn1(ctx), k)
-    if not pk:
+    # the least degree-k exponent vector, the first of P_k in odometer order
+    least = exponent_vectors(xn1_factorization(ctx).factors, one=PolyQ.one(ctx.fq), k=k, first=True)
+    if not least:
         raise NoDegreeKDivisor(f"x^{ctx.n} - 1 has no degree-{k} divisor over F_{ctx.q}")
-    return pk[0]
+    return least[0][1]
 
 
 def basic_inequality(q: int, n: int, r: int, k: int, g: PolyQ | None = None,

@@ -6,7 +6,9 @@ Factorization runs squarefree decomposition, distinct-degree splitting and
 Cantor-Zassenhaus equal-degree splitting; the equal-degree stage draws its
 randomness from a PRNG seeded deterministically from (q, coefficients), so
 factor order - and with it every divisor enumeration - is identical across
-runs.
+runs.  Every divisor list (divisors_of, degree_k_divisors, the divisor
+lattice of x^n - 1 and the bounds' choice of g) reads one enumeration,
+exponent_vectors, which is also the one place DIVISOR_CEILING is checked.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from math import prod
 
 from . import _polyops
 from .errors import CtxMismatch, DivisionByZero, TooManyDivisors, ZeroPolynomial
@@ -334,59 +337,61 @@ def phi_q(f: PolyQ) -> int:
     return arith_poly(f, "phi_q")
 
 
+def exponent_vectors(factors, caps=None, *, one: PolyQ | None = None, k: int | None = None,
+                     first: bool = False, ceiling: int = DIVISOR_CEILING) -> list[tuple]:
+    """Pairs (a, prod f_j^a_j), or (a, None) without ``one``, over the exponent
+    vectors 0 <= a_j <= caps[j] (default e_j) of the factors (f_j, e_j) of one
+    factorization, in odometer order (a_0 cycling fastest).
+
+    The vectors grow from the last factor down, each carrying its product.
+    With k (and ``one``) a vector grows only while factors 0..j-1 can make up
+    the degree it lacks, so no branch dies; ``first`` keeps the least vector
+    alone.  The count is checked against ``ceiling`` before any product.
+    """
+    caps = [e for _, e in factors] if caps is None else caps
+    if k is None:
+        count = prod(c + 1 for c in caps)
+    else:
+        # ways[j][m] counts the vectors over factors 0..j-1 of degree m <= k
+        ways = [[int(m == 0) for m in range(k + 1)]]
+        for (f, _), c in zip(factors, caps):
+            ways.append([sum(ways[-1][m - a * f.degree] for a in range(min(c, m // f.degree) + 1))
+                         for m in range(k + 1)])
+        count = ways[-1][k] if k >= 0 else 0
+    if count > ceiling and not first:
+        raise TooManyDivisors(f"{count} divisors exceed the ceiling {ceiling}")
+    out = [((), one)] if count else []
+    for j in reversed(range(len(factors))):
+        f = factors[j][0]
+        # one step per exponent a: its head (a,), its degree and f^a (None for a = 0)
+        steps, power = [((0,), 0, None)], one
+        for a in range(1, caps[j] + 1):
+            power = None if one is None else power * f
+            steps.append(((a,), a * f.degree, power))
+        # with k the products are carried, and x.degree is the degree made so far
+        out = [(u + v, x if p is None else x * p) for v, x in out for u, t, p in steps
+               if k is None or (x.degree + t <= k and ways[j][k - x.degree - t])]
+        if first:
+            del out[1:]
+    return out
+
+
 def divisors_of(f: PolyQ, filter_kind: str = "all_monic", k: int | None = None, ceiling: int = DIVISOR_CEILING) -> list[PolyQ]:
     """Monic divisors of f in odometer order over the factorization exponents
-    (first factor's exponent cycling fastest).
+    (first factor's exponent cycling fastest), from exponent_vectors.
 
-    filter_kind: all_monic | squarefree_monic | degree_equals (with k).  The
-    degree filter prunes during enumeration: a branch is entered only when
-    the factors left can make up the degree it still needs exactly, so the
-    walk visits no dead end, whatever k.
+    filter_kind: all_monic | squarefree_monic | degree_equals (with k).
     """
+    if filter_kind not in ("all_monic", "squarefree_monic", "degree_equals"):
+        raise ValueError(f"unknown divisors_of filter {filter_kind!r}")
     if f.is_zero():
         raise ZeroPolynomial("divisors of the zero polynomial")
-    fact = factor_poly(f)
-    if filter_kind == "degree_equals":
-        if k is None:
-            raise ValueError("degree_equals filter needs k")
-        out: list[PolyQ] = []
-        factors = fact.factors
-        # bit m of reach[i] is set when factors 0..i-1 make degree m
-        reach = [1]
-        for g, e in factors:
-            bits = 0
-            for j in range(e + 1):
-                bits |= reach[-1] << (j * g.degree)
-            reach.append(bits)
-
-        def emit(idx: int, acc: PolyQ, deg_left: int) -> None:
-            if idx < 0:
-                if len(out) >= ceiling:
-                    raise TooManyDivisors(f"degree-{k} divisors exceed the ceiling {ceiling}")
-                out.append(acc)
-                return
-            g, e = factors[idx]
-            power = PolyQ.one(f.fq)
-            for j in range(min(e, deg_left // g.degree) + 1):
-                if reach[idx] >> (deg_left - j * g.degree) & 1:
-                    emit(idx - 1, acc * power, deg_left - j * g.degree)
-                power = power * g
-        if k >= 0 and reach[-1] >> k & 1:
-            emit(len(factors) - 1, PolyQ.one(f.fq), k)
-        return out
-    count = 1
-    for _, e in fact.factors:
-        count *= (e + 1) if filter_kind != "squarefree_monic" else 2
-    if count > ceiling:
-        raise TooManyDivisors(f"{count} divisors exceed the ceiling {ceiling}")
-    out = [PolyQ.one(f.fq)]
-    for g, e in fact.factors:
-        emax = 1 if filter_kind == "squarefree_monic" else e
-        powers = [PolyQ.one(f.fq)]
-        for _ in range(emax):
-            powers.append(powers[-1] * g)
-        out = [d * p for p in powers for d in out]
-    return out
+    if filter_kind == "degree_equals" and k is None:
+        raise ValueError("degree_equals filter needs k")
+    factors = factor_poly(f).factors
+    caps = [1] * len(factors) if filter_kind == "squarefree_monic" else None
+    k = k if filter_kind == "degree_equals" else None
+    return [d for _, d in exponent_vectors(factors, caps, one=PolyQ.one(f.fq), k=k, ceiling=ceiling)]
 
 
 def degree_k_divisors(f: PolyQ, k: int) -> list[PolyQ]:

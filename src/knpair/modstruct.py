@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from . import _polyops
-from .errors import CtxMismatch, NotADivisor, TooManyDivisors, ZeroElement
+from .errors import CtxMismatch, NotADivisor, ZeroElement
 from .ffield import FieldCtx, FieldElement, mult_order
-from .fqpoly import DIVISOR_CEILING, PolyFactorization, PolyQ, factor_poly
+from .fqpoly import PolyFactorization, PolyQ, exponent_vectors, factor_poly
 from .intarith import IntFactorization, factor_int
 
 
@@ -51,62 +51,40 @@ class DivisorLattice:
     """The monic divisors of x^n - 1, read off its factorization.
 
     A divisor is an exponent vector a over the factors f_j^e_j of x^n - 1
-    (0 <= a_j <= e_j).  ``divisors`` lists them in (degree, coeffs) order and
+    (0 <= a_j <= e_j), as fqpoly.exponent_vectors lists them with their
+    products.  ``divisors`` keeps them in (degree, coeffs) order and
     ``div_index`` inverts that list.  For each divisor h, by index:
 
     - ``vecs[h]`` is its exponent vector a;
     - ``quot[h][j]`` is the index of h / f_j, or -1 when f_j does not divide h;
     - ``phi_q[h]`` and ``mu_prime[h]`` are Phi_q(h) and mu'(h);
-    - ``sub_divisors[h]`` lists the indices of the divisors of h in
-      ``divisors_of(h)`` order (first factor's exponent cycling fastest), so
-      sums over it add their terms in the same order as sums over
-      ``divisors_of(h)``.
+    - ``sub_divisors[h]`` lists the indices of the vectors up to a, as
+      exponent_vectors lists them for ``divisors_of(h)``, so sums over it add
+      their terms in the same order as sums over ``divisors_of(h)``.
 
     ``top`` is the index of x^n - 1 itself.
     """
 
     def __init__(self, ctx: FieldCtx):
-        fact = xn1_factorization(ctx)
         self.fq = ctx.fq
-        self.factors = factors = fact.factors
-        one = PolyQ.one(ctx.fq)
-        # odometer position of a vector a is sum a_j * stride[j], the order
-        # in which divisors_of builds the products
-        stride, count = [], 1
-        for _, e in factors:
-            stride.append(count)
-            count *= e + 1
-        if count > DIVISOR_CEILING:
-            raise TooManyDivisors(f"{count} divisors exceed the ceiling {DIVISOR_CEILING}")
-        polys, vecs = [one], [()]
-        for f, e in factors:
-            powers = [one]
-            for _ in range(e):
-                powers.append(powers[-1] * f)
-            polys = [d * p for p in powers for d in polys]
-            vecs = [v + (a,) for a in range(e + 1) for v in vecs]
-        order = sorted(range(count), key=lambda i: polys[i].sort_key())
-        index_at = [0] * count  # odometer position -> sorted index
-        for idx, i in enumerate(order):
-            index_at[i] = idx
-        self.divisors = [polys[i] for i in order]
-        self.vecs = [vecs[i] for i in order]
+        self.factors = factors = xn1_factorization(ctx).factors
+        listed = sorted(exponent_vectors(factors, one=PolyQ.one(ctx.fq)), key=lambda vh: vh[1].sort_key())
+        self.vecs = [v for v, _ in listed]
+        self.divisors = [h for _, h in listed]
         self.div_index = {h: idx for idx, h in enumerate(self.divisors)}
-        self.vec_index = {v: idx for idx, v in enumerate(self.vecs)}
-        self.top = index_at[count - 1]
+        self.vec_index = at = {v: idx for idx, v in enumerate(self.vecs)}
+        self.top = at[tuple(e for _, e in factors)]
         q = ctx.q
         self.quot, self.phi_q, self.mu_prime, self.sub_divisors = [], [], [], []
-        for i in order:
-            vec = vecs[i]
-            self.quot.append([index_at[i - s] if a else -1 for a, s in zip(vec, stride)])
-            phi, subs = 1, [0]
-            for (f, _), a, s in zip(factors, vec, stride):
+        for vec in self.vecs:
+            self.quot.append([at[vec[:j] + (a - 1,) + vec[j + 1:]] if a else -1 for j, a in enumerate(vec)])
+            phi = 1
+            for (f, _), a in zip(factors, vec):
                 if a:
                     phi *= q ** (f.degree * a) - q ** (f.degree * (a - 1))
-                subs = [t + b * s for b in range(a + 1) for t in subs]
             self.phi_q.append(phi)
             self.mu_prime.append(0 if any(a > 1 for a in vec) else (-1) ** sum(vec))
-            self.sub_divisors.append([index_at[t] for t in subs])
+            self.sub_divisors.append([at[v] for v, _ in exponent_vectors(factors, vec)])
 
     def index(self, poly: PolyQ, name: str) -> int:
         """Index of poly.monic(); CtxMismatch for anything but a polynomial over

@@ -628,15 +628,20 @@ def census(q: int, n: int, what: str, arg: int | None = None):
     """Exhaustive counts: knormal(k) / rprimitive(r) / fq_order_fibers / pair_table(r),
     each a fold of the field's element profile (scan_tables(ctx).profile)."""
     ctx = field_for(q, n)
+    # the selector and its argument are checked before the tables are built
+    if what == "knormal":
+        if arg is None or not 0 <= arg <= ctx.n - 1:
+            raise ValueError("knormal census needs k in [0, n-1]")
+    elif what in ("rprimitive", "pair_table"):
+        if arg is None or arg < 1 or ctx.N % arg:
+            raise RNotDivisor(f"r = {arg} does not divide q^n - 1")
+    elif what != "fq_order_fibers":
+        raise ValueError(f"unknown census selector {what!r}")
     tables = scan_tables(ctx)
     degree = [div.degree for div in tables.divisors]
     profile = tables.profile.items()
     if what == "knormal":
-        if arg is None or not 0 <= arg <= ctx.n - 1:
-            raise ValueError("knormal census needs k in [0, n-1]")
         return sum(cnt for (a, _, _), cnt in profile if degree[a] == ctx.n - arg)
-    if what in ("rprimitive", "pair_table") and (arg < 1 or ctx.N % arg):
-        raise RNotDivisor(f"r = {arg} does not divide q^n - 1")
     if what == "rprimitive":
         return sum(cnt for (_, gam, _), cnt in profile if gam == arg)
     if what == "fq_order_fibers":
@@ -644,10 +649,8 @@ def census(q: int, n: int, what: str, arg: int | None = None):
         for (a, _, _), cnt in profile:
             fibers[tables.divisors[a]] += cnt
         return dict(fibers)
-    if what == "pair_table":
-        out: Counter[int] = Counter()
-        for (a, gam, inv), cnt in profile:
-            if gam == arg and degree[a] == degree[inv]:
-                out[ctx.n - degree[a]] += cnt
-        return dict(out)
-    raise ValueError(f"unknown census selector {what!r}")
+    out: Counter[int] = Counter()
+    for (a, gam, inv), cnt in profile:
+        if gam == arg and degree[a] == degree[inv]:
+            out[ctx.n - degree[a]] += cnt
+    return dict(out)

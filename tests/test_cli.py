@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import knpair
 from knpair import ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
 from knpair.fqpoly import PolyQ, factor_poly, format_poly
+from knpair.modstruct import xn1_factorization
 
 
 def run_cli(*args):
@@ -121,6 +123,54 @@ def test_bound_near_full_degree_returns():
     for g, _ in factor_poly(f).factors[:21]:
         first = first * g
     assert json.loads(proc.stdout)["result"]["verdict"]["inputs"]["g"] == format_poly(first)
+
+
+def test_bound_reads_g_without_listing_P_k(monkeypatch):
+    # P_11 of x^23 - 1 over F_47 has C(23, 11) = 1352078 members, beyond the
+    # divisor ceiling, and the bound reads only the least of them, the product
+    # of the first 11 of the 23 linear factors, in under a hundred products
+    xn1_factorization(ffield.field_for(47, 23))  # memoised before products are counted
+    real, made = PolyQ.__mul__, []
+
+    def counted(f, g):
+        made.append(1)
+        assert len(made) <= 1000, "the bound lists P_k"
+        return real(f, g)
+
+    monkeypatch.setattr(PolyQ, "__mul__", counted)
+    code, rep = run_cli("bound", "--q", "47", "--n", "23", "--k", "11")
+    monkeypatch.undo()
+    assert code in (0, 3)
+    f = PolyQ.xn_minus_1(ffield.field_for(47, 1).fq, 23)
+    first = PolyQ.one(f.fq)
+    for g, _ in factor_poly(f).factors[:11]:
+        first = first * g
+    assert first.degree == 11
+    assert rep["result"]["verdict"]["inputs"]["g"] == format_poly(first)
+
+
+def test_bound_and_table3_factor_xn1_once_per_field(monkeypatch):
+    # counted at every knpair module binding, as the benchmark's tracer counts
+    # them; the contexts are fresh, so each x^n - 1 is factored inside the count
+    import knpair.fqpoly as fqpoly
+
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    real, factored = fqpoly.factor_poly, Counter()
+
+    def counted(f):
+        factored[f] += 1
+        return real(f)
+
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or not (modname == "knpair" or modname.startswith("knpair.")):
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, key, counted)
+    assert run_cli("bound", "--q", "4", "--n", "14")[0] in (0, 3)
+    assert run_cli("reproduce", "--target", "table3-spot")[0] == 0
+    fields = [(4, 14), (5, 14), (8, 14), (4, 15), (5, 16), (7, 14), (5, 15)]
+    assert factored == Counter(PolyQ.xn_minus_1(ffield.field_for(q, 1).fq, n) for q, n in fields)
 
 
 def test_search_pair_exits():

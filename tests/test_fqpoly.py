@@ -5,7 +5,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
 from knpair import _polyops
-from knpair.errors import TooManyDivisors, ZeroPolynomial
+from knpair.bounds import _select_g
+from knpair.errors import NoDegreeKDivisor, TooManyDivisors, ZeroPolynomial
 from knpair.ffield import field_for, make_field
 from knpair.fqpoly import (
     PolyQ,
@@ -162,6 +163,11 @@ def test_divisors_ceiling():
         divisors_of(xn1(2, 12), ceiling=3)
 
 
+def test_divisors_of_rejects_unknown_filter():
+    with pytest.raises(ValueError, match="bogus"):
+        divisors_of(xn1(2, 3), "bogus")
+
+
 def unpruned_degree_k_divisors(f, k):
     """The degree filter that cuts a branch only when it overshoots k; the oracle of the pruned one."""
     out, factors = [], factor_poly(f).factors
@@ -188,7 +194,14 @@ def test_degree_k_divisors_against_unpruned(q, n):
     # same divisors in the same odometer order, p | n (repeated factors) included
     f = PolyQ.xn_minus_1(field_for(q, 1).fq, n)
     for k in range(-1, n + 2):
-        assert degree_k_divisors(f, k) == unpruned_degree_k_divisors(f, k), k
+        want = unpruned_degree_k_divisors(f, k)
+        assert degree_k_divisors(f, k) == want, k
+        # the bounds' g is the least degree-k exponent vector, read without listing P_k
+        if want:
+            assert _select_g(field_for(q, n), k, None) == want[0], k
+        else:
+            with pytest.raises(NoDegreeKDivisor):
+                _select_g(field_for(q, n), k, None)
     h = PolyQ(f.fq, (1, 1, 0, 1))
     g = h * h * f  # squared factors of several degrees beside those of x^n - 1
     for k in range(g.degree + 1):

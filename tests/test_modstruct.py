@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from knpair import search
 from knpair.characters import psi_set, q_gH, upsilon_g
-from knpair.errors import CtxMismatch, NotADivisor, ZeroElement
+from knpair.errors import CtxMismatch, NotADivisor, TooManyDivisors, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
 from knpair.intarith import divisors as idivs
@@ -415,6 +415,20 @@ def test_divisor_lattice_against_factoring(q, n):
         assert lattice.mu_prime[i] == fact.moebius_prime()
         assert lattice.sub_divisors[i] == [index[d] for d in divisors_of(h)]
         assert lattice.quot[i] == [index[h // f] if f.divides(h) else -1 for f in irreducibles]
+
+
+def test_divisor_lattice_ceiling_before_any_product(monkeypatch):
+    # x^23 - 1 splits into 23 linear factors over F_47, so it has 2^23
+    # divisors; the lattice is refused from that count, before any product
+    ctx = field_for(47, 23)
+    xn1_factorization(ctx)  # memoised before products are forbidden
+
+    def product(*args):
+        raise AssertionError("a divisor product was formed before the ceiling check")
+
+    monkeypatch.setattr(PolyQ, "__mul__", product)
+    with pytest.raises(TooManyDivisors, match="8388608"):
+        divisor_lattice(ctx)
 
 
 def test_charfun_factoring_does_not_scale_with_elements(monkeypatch):

@@ -518,6 +518,22 @@ def test_count_rejects_bad_arguments_before_walking(monkeypatch):
             count_from_profile(ctx, g, {}, 1, h, d, H)
 
 
+def test_census_rejects_bad_arguments_before_building(monkeypatch):
+    import knpair.search as search
+
+    def build(*args):
+        raise AssertionError("a census built the tables before checking its arguments")
+
+    monkeypatch.setattr(search, "scan_tables", build)
+    for what in ("rprimitive", "pair_table"):
+        for r in (None, 0, 2):  # q^n - 1 = 2^20 - 1 is odd
+            with pytest.raises(RNotDivisor):
+                census(2, 20, what, r)
+    for what, arg in [("knormal", None), ("knormal", 20), ("bogus", 1)]:
+        with pytest.raises(ValueError):
+            census(2, 20, what, arg)
+
+
 def test_count_checks_its_arguments_once(monkeypatch):
     import knpair.search as search
 
