@@ -22,7 +22,7 @@ from .errors import NoDegreeKDivisor, NotADivisor, NotCoprime
 from .ffield import FieldCtx, field_for
 from .fqpoly import PolyQ, exponent_vectors, factor_poly
 from .intarith import c_nu, factor_int, is_prime, rad_int
-from .modstruct import decompose_g, decompose_r, exponents, xn1, xn1_factorization
+from .modstruct import check_seeds, decompose_g, decompose_r, exponents, xn1, xn1_factorization
 
 LOG_GUARD_BITS = 80  # margin (in bits) required before a log-space "holds"
 
@@ -240,13 +240,7 @@ def sieve_terms(q: int, n: int, r: int, k: int, h: PolyQ, d: int, H: PolyQ,
     if r < 1 or ctx.N % r:
         raise NotADivisor(f"r = {r} does not divide q^n - 1")
     g = _select_g(ctx, k, g)
-    rd = decompose_r(r, ctx)
-    gv, hv = exponents(ctx, g, "g"), exponents(ctx, h, "h")
-    if d < 1 or rd.R % d:
-        raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
-    Hv = exponents(ctx, H, "H")
-    if any(Hj > (gj == 0) for Hj, gj in zip(Hv, gv)):
-        raise NotADivisor("H does not divide G")
+    gv, hv, Hv, rd = check_seeds(ctx, g, r, h, d, H)
     primes_R = [p for p in ctx.fact_qn_minus_1.primes if rd.R % p == 0]
     irreducibles = xn1_factorization(ctx).irreducibles
     l1 = tuple(p for p in primes_R if d % p)

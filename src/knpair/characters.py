@@ -9,19 +9,21 @@ are shifts of the canonical one: psi_y(a) = exp(2*pi*i*Tr(y*a)/p).
 On top of the raw characters sit the character-sum characteristic
 functions for e-free / h-free elements, images of the module action, and
 the Q_r^d and T_{g,k}^H classes: weighted sums, over divisors, of the sums
-of all characters of one exact order.  Those inner sums have closed forms.
+of all characters of one exact order.  Both families have one divisor
+lattice each, of q^n - 1 and of x^n - 1, and one closed form for those
+inner sums.  Give a divisor m its norm |m|: m itself, or q^deg m for a
+polynomial; phi is then Euler's phi or Phi_q, and mu is mu or mu'.  The
+characters of exact order m, at an element a of co-order c, sum to
 
-- Multiplicative: the characters of exact order m, at g^L, sum to the
-  Ramanujan sum c_m(L) = mu(m/delta) phi(m) / phi(m/delta), with
-  delta = gcd(m, L).  mu and phi are tabulated over the divisors of
-  q^n - 1, read off its one factorization (FieldCtx.fact_qn_minus_1).
-- Additive: the characters psi with F_q-order dividing D are those trivial
-  on D o F_{q^n}, a group of q^deg D characters that sums at a to
-  q^deg D [Ord(a) | (x^n - 1)/D].  Moebius inversion over the divisors of
-  h gives the sum S(h, a) over the characters of exact order h; it is
-  mu'(h/delta) Phi_q(h) / Phi_q(h/delta) with
-  delta = gcd(h, (x^n - 1)/Ord(a)).  It depends on a only through its
-  F_q-order, so it is one integer table, by divisor and order index.
+    S(m, c) = mu(m/delta) phi(m) / phi(m/delta),  delta = gcd(m, c),
+
+where the co-order of a = g^L is gcd(L, q^n - 1), and that of a under the
+module action is (x^n - 1)/Ord(a).  (The characters of order dividing m
+sum to |m| when m divides c and to 0 otherwise; Moebius inversion over the
+divisors of m gives S.)  So one table per lattice, by divisor and co-order,
+serves every sum; it is read off the factorizations of q^n - 1
+(FieldCtx.fact_qn_minus_1) and x^n - 1 (modstruct.divisor_lattice), and no
+integer or polynomial is factored per element.
 
 The F_q-order of psi_y needs no search either: Tr(y * sigma(a)) =
 Tr(sigma^-1(y) * a) for the Frobenius sigma, so psi_y is trivial on
@@ -31,11 +33,8 @@ Ord(psi_y) is the monic reciprocal of Ord(y).
 Every weight is an integer over a common denominator, so every
 characteristic function is an exact int or Fraction, 0 or 1; the test
 suite checks them against the direct indicators from modstruct, and the
-closed forms against literal sums of char_eval.  Everything they need of a
-polynomial argument -- whether it divides x^n - 1, its Phi_q and mu', and
-the list of its own divisors -- is looked up by its index in the divisor
-lattice of x^n - 1 (modstruct.divisor_lattice); no integer or polynomial
-is factored per element.  The tables live on the context (FieldCtx.memo).
+closed form against literal sums of char_eval.  The tables live on the
+context (FieldCtx.memo).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from math import gcd as int_gcd
 
 from .errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
 from .ffield import FieldCtx, FieldElement, trace_abs
-from .fqpoly import PolyQ
+from .fqpoly import PolyQ, exponent_vectors
 from .modstruct import GDecomposition, RDecomposition, divisor_lattice
 from .search import scan_tables
 
@@ -55,8 +54,48 @@ CHARFUN_CEILING = 1 << 9
 _TAU = 2j * cmath.pi
 
 
+class _Divisors:
+    """The divisor lattice of prod P_j^e_j, given by its (norm, exponent) pairs
+    (|P_j|, e_j): (p, e) over q^n - 1, (q^deg f, e) over x^n - 1.
+
+    A divisor is an exponent vector, indexed in the odometer order of
+    fqpoly.exponent_vectors, so the complement of index m has index
+    len(norm) - 1 - m.  By index m: ``norm[m]``, ``phi[m]`` and ``mu[m]`` are
+    |m|, phi(m) and mu(m), ``subs[m]`` lists the indices of the divisors of m,
+    ascending, and ``S[c][m]`` is S(m, c), a row per co-order since every sum
+    reads one.  Each is multiplicative, so it is built factor by factor.
+    """
+
+    def __init__(self, pairs):
+        norm, phi, mu, subs, S = [1], [1], [1], [[0]], [[1]]
+        for P, e in reversed(pairs):
+            span = range(e + 1)
+            powers = [P**a for a in span]
+            phi_p = [1] + [pk - pk // P for pk in powers[1:]]
+            mu_p = [1, -1] + [0] * (e - 1)
+            # local[b][a] = S(P^a, P^b): m/delta = P^max(0, a - b)
+            local = [[mu_p[max(0, a - b)] * (phi_p[a] // phi_p[max(0, a - b)]) for a in span] for b in span]
+            norm = [x * y for x in norm for y in powers]
+            phi = [x * y for x in phi for y in phi_p]
+            mu = [x * y for x in mu for y in mu_p]
+            subs = [[i * (e + 1) + b for i in sub for b in range(a + 1)] for sub in subs for a in span]
+            S = [[x * y for x in row for y in loc] for row in S for loc in local]
+        self.norm, self.phi, self.mu, self.subs, self.S = norm, phi, mu, subs, S
+
+    def free_sum(self, m: int, c: int) -> int:
+        """phi(m) * sum_{d | m} mu(d)/phi(d) * S(d, c): |m| at an m-free element, else 0."""
+        row, phi, mu, phi_m = self.S[c], self.phi, self.mu, self.phi[m]
+        return sum(mu[d] * (phi_m // phi[d]) * row[d] for d in self.subs[m] if mu[d])
+
+    def class_sum(self, m: int, c: int) -> int:
+        """sum_{d | m} S(d, c), the sum of the characters of order dividing m."""
+        row = self.S[c]
+        return sum(row[d] for d in self.subs[m])
+
+
 class _CharTables:
-    """Per-context tables shared by every character evaluation."""
+    """Per-context tables shared by every character evaluation: the divisor
+    lattices of q^n - 1 (``mult``) and x^n - 1 (``add``)."""
 
     def __init__(self, ctx: FieldCtx):
         # the table engine's dlog walk and order table; log_codes[0] is -1,
@@ -64,68 +103,32 @@ class _CharTables:
         scan = scan_tables(ctx)
         self.log_codes = scan.log_codes
         self.ord_idx = scan.ord_idx
+        self.fq = ctx.fq
+        self.mult = _Divisors(ctx.fact_qn_minus_1.factors)
+        self.mult_at = {m: i for i, m in enumerate(self.mult.norm)}
         lattice = divisor_lattice(ctx)
-        self.divisors = lattice.divisors
-        self.div_index = lattice.div_index
-        # divisor_index(g, name): the index of g.monic(), or NotADivisor
-        self.divisor_index = lattice.index
-        self.phi_q = lattice.phi_q
-        self.mu_prime = lattice.mu_prime
-        self.sub_divisors = lattice.sub_divisors
-        # mu, phi and the divisor list of every divisor of q^n - 1
-        self.mu, self.phi = {1: 1}, {1: 1}
-        for p, e in ctx.fact_qn_minus_1.factors:
-            for d in list(self.phi):
-                pk = 1
-                for k in range(1, e + 1):
-                    pk *= p
-                    self.mu[d * pk] = -self.mu[d] if k == 1 else 0
-                    self.phi[d * pk] = self.phi[d] * (pk - pk // p)
-        self.int_divs = {d: [c for c in self.phi if d % c == 0] for d in self.phi}
-        # add_sums[h][o] = S(h, a) for every a of order index o: h/delta has
-        # exponents max(0, h_j + o_j - e_j) over the factors f_j^e_j of x^n - 1
-        vecs, at = lattice.vecs, lattice.vec_index
-        top = vecs[lattice.top]
-        self.add_sums = []
-        for h, hv in enumerate(vecs):
-            row = []
-            for ov in vecs:
-                rest = at[tuple(max(0, a + b - e) for a, b, e in zip(hv, ov, top))]
-                row.append(self.mu_prime[rest] * (self.phi_q[h] // self.phi_q[rest]))
-            self.add_sums.append(row)
+        self.add = _Divisors([(ctx.q**f.degree, e) for f, e in lattice.factors])
+        # the add index of each divisor h, and by h's lattice index that of (x^n - 1)/h
+        at = {v: i for i, (v, _) in enumerate(exponent_vectors(lattice.factors))}
+        self.add_at = {h: at[v] for h, v in zip(lattice.divisors, lattice.vecs)}
+        self.co_order = [len(at) - 1 - at[v] for v in lattice.vecs]
         # Ord(psi_y) is the monic reciprocal of Ord(y), by the trace duality
-        recip = [self.div_index[PolyQ(ctx.fq, h.coeffs[::-1]).monic()] for h in self.divisors]
+        recip = [lattice.div_index[PolyQ(ctx.fq, h.coeffs[::-1]).monic()] for h in lattice.divisors]
         self._order_table = [recip[o] for o in self.ord_idx]
 
     def add_order_table(self) -> list[int]:
-        """For each shift code y, the index of the F_q-order of psi_y."""
+        """For each shift code y, the lattice index of the F_q-order of psi_y."""
         return self._order_table
 
-    # -- slot sums -------------------------------------------------------------
-    def mult_char_sum(self, m: int, e_log: int) -> int:
-        """Sum over the characters of exact order m, evaluated at prim^e_log."""
-        rest = m // int_gcd(m, e_log)
-        return self.mu[rest] * (self.phi[m] // self.phi[rest])
-
-    def add_char_sum(self, div_idx: int, a_code: int) -> int:
-        """Sum over the additive characters of exact F_q-order divisors[div_idx]."""
-        return self.add_sums[div_idx][self.ord_idx[a_code]]
-
-    def mult_free_sum(self, e: int, e_log: int) -> int:
-        """phi(e) * sum_{d | e} mu(d)/phi(d) * (the order-d slot sum)."""
-        total = 0
-        for d in self.int_divs[e]:
-            if self.mu[d]:
-                total += self.mu[d] * (self.phi[e] // self.phi[d]) * self.mult_char_sum(d, e_log)
-        return total
-
-    def add_free_sum(self, g_idx: int, a_code: int) -> int:
-        """Phi_q(g) * sum_{h | g} mu'(h)/Phi_q(h) * (the order-h slot sum)."""
-        total, phi_g = 0, self.phi_q[g_idx]
-        for idx in self.sub_divisors[g_idx]:
-            if self.mu_prime[idx]:
-                total += self.mu_prime[idx] * (phi_g // self.phi_q[idx]) * self.add_char_sum(idx, a_code)
-        return total
+    def divisor_index(self, poly: PolyQ, name: str) -> int:
+        """Add index of poly.monic(); CtxMismatch for anything but a polynomial
+        over this F_q, NotADivisor when it does not divide x^n - 1."""
+        if not isinstance(poly, PolyQ) or poly.fq != self.fq:
+            raise CtxMismatch("polynomial and field live over different F_q")
+        idx = self.add_at.get(poly.monic())
+        if idx is None:
+            raise NotADivisor(f"{name} does not divide x^n - 1")
+        return idx
 
 
 def char_tables(ctx: FieldCtx) -> _CharTables:
@@ -169,8 +172,7 @@ def char_eval(spec: CharSpec, a: FieldElement) -> complex:
 
 def add_char_fq_order(y: FieldElement) -> PolyQ:
     """Least-degree monic divisor h of x^n - 1 with psi_y trivial on h o F_{q^n}."""
-    tab = char_tables(y.ctx)
-    return tab.divisors[tab.add_order_table()[y.code()]]
+    return divisor_lattice(y.ctx).divisors[char_tables(y.ctx).add_order_table()[y.code()]]
 
 
 # -- characteristic functions ----------------------------------------------------
@@ -189,41 +191,41 @@ def rho_e(a: FieldElement, e: int) -> Fraction:
         raise NotADivisor(f"{e} does not divide q^n - 1")
     if a.is_zero():
         raise ZeroElement("rho_e is defined on nonzero elements")
-    return Fraction(tab.mult_free_sum(e, tab.log_codes[a.code()]), e)
+    c = tab.mult_at[int_gcd(tab.log_codes[a.code()], ctx.N)]  # the co-order gcd(dlog a, q^n - 1)
+    return Fraction(tab.mult.free_sum(tab.mult_at[e], c), e)
 
 
 def upsilon_g(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of g-freeness."""
     tab = _charfun_tables(a.ctx)
     g_idx = tab.divisor_index(g, "g")
-    return Fraction(tab.add_free_sum(g_idx, a.code()), a.ctx.q ** tab.divisors[g_idx].degree)
+    return Fraction(tab.add.free_sum(g_idx, tab.co_order[tab.ord_idx[a.code()]]), tab.add.norm[g_idx])
 
 
 def psi_set(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of membership in the image of (g o .)."""
     tab = _charfun_tables(a.ctx)
     g_idx = tab.divisor_index(g, "g")
-    code = a.code()
-    total = sum(tab.add_char_sum(idx, code) for idx in tab.sub_divisors[g_idx])
-    return Fraction(total, a.ctx.q ** tab.divisors[g_idx].degree)
+    return Fraction(tab.add.class_sum(g_idx, tab.co_order[tab.ord_idx[a.code()]]), tab.add.norm[g_idx])
 
 
 def gamma_rd(a: FieldElement, rd: RDecomposition, d: int) -> Fraction:
     """Character-sum indicator of membership in Q_r^d."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
-    if rd.N != ctx.N:
-        raise CtxMismatch(f"r was decomposed in q^n - 1 = {rd.N}, not {ctx.N}")
+    rd.check_field(ctx)
     if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
     if a.is_zero():
         raise ZeroElement("gamma_rd is defined on nonzero elements")
-    e_log = tab.log_codes[a.code()]
-    num = tab.mult_free_sum(d, e_log) * sum(tab.mult_char_sum(d2, e_log) for d2 in tab.int_divs[rd.u])
+    mult, at = tab.mult, tab.mult_at
+    c = at[int_gcd(tab.log_codes[a.code()], ctx.N)]
+    num = mult.free_sum(at[d], c) * mult.class_sum(at[rd.u], c)
     den = rd.r * d
     for p_j, _, _, lam in rd.parts:
-        # the ell weights -1/p_j (e_j = lambda_j) and (p_j - 1)/p_j, times p_j
-        num *= sum((-1 if e_j == lam else p_j - 1) * tab.mult_char_sum(e_j, e_log) for e_j in tab.int_divs[lam])
+        # the ell weights times p_j: p_j - 1 at every divisor of lambda_j but itself, -1 there
+        lam_idx = at[lam]
+        num *= (p_j - 1) * mult.class_sum(lam_idx, c) - p_j * mult.S[c][lam_idx]
         den *= p_j
     return Fraction(num, den)
 
@@ -232,19 +234,19 @@ def q_gH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> Fraction:
     """Character-sum indicator of membership in T_{g,k}^H."""
     ctx = a.ctx
     tab = _charfun_tables(ctx)
+    gd.check_field(ctx)
     H_idx = tab.divisor_index(H, "H")
-    if H_idx not in tab.sub_divisors[tab.divisor_index(gd.G, "G")]:
+    add = tab.add
+    if H_idx not in add.subs[tab.divisor_index(gd.G, "G")]:
         raise NotADivisor("H does not divide G")
-    code = a.code()
-    num = tab.add_free_sum(H_idx, code)
-    num *= sum(tab.add_char_sum(idx, code) for idx in tab.sub_divisors[tab.divisor_index(gd.pi, "pi")])
-    den = ctx.q ** (tab.divisors[H_idx].degree + gd.g.degree)
+    c = tab.co_order[tab.ord_idx[a.code()]]
+    num = add.free_sum(H_idx, c) * add.class_sum(tab.divisor_index(gd.pi, "pi"), c)
+    den = add.norm[H_idx] * ctx.q**gd.g.degree
     for f_i, _, _, lam in gd.parts:
         qdeg = ctx.q**f_i.degree
         lam_idx = tab.divisor_index(lam, "Lambda")
-        # the ell weights -1/q^deg f_i (h = Lambda_i) and (q^deg f_i - 1)/q^deg f_i, times q^deg f_i
-        num *= sum((-1 if idx == lam_idx else qdeg - 1) * tab.add_char_sum(idx, code)
-                   for idx in tab.sub_divisors[lam_idx])
+        # the ell weights times q^deg f_i: q^deg f_i - 1 at every divisor of Lambda_i but itself, -1 there
+        num *= (qdeg - 1) * add.class_sum(lam_idx, c) - qdeg * add.S[c][lam_idx]
         den *= qdeg
     return Fraction(num, den)
 

@@ -175,7 +175,8 @@ class Fq:
         return range(self.q)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Fq) and (self.p, self.t, self.modulus) == (other.p, other.t, other.modulus)
+        return other is self or (isinstance(other, Fq)
+                                 and (self.p, self.t, self.modulus) == (other.p, other.t, other.modulus))
 
     def __hash__(self) -> int:
         return hash((self.p, self.t, self.modulus))

@@ -55,18 +55,14 @@ class DivisorLattice:
     products.  ``divisors`` keeps them in (degree, coeffs) order and
     ``div_index`` inverts that list.  For each divisor h, by index:
 
-    - ``vecs[h]`` is its exponent vector a;
-    - ``quot[h][j]`` is the index of h / f_j, or -1 when f_j does not divide h;
-    - ``phi_q[h]`` and ``mu_prime[h]`` are Phi_q(h) and mu'(h);
-    - ``sub_divisors[h]`` lists the indices of the vectors up to a, as
-      exponent_vectors lists them for ``divisors_of(h)``, so sums over it add
-      their terms in the same order as sums over ``divisors_of(h)``.
+    - ``vecs[h]`` is its exponent vector a, and ``vec_index`` inverts ``vecs``;
+    - ``quot[h][j]`` is the index of h / f_j, or -1 when f_j does not divide h.
 
-    ``top`` is the index of x^n - 1 itself.
+    ``top`` is the index of x^n - 1 itself.  The character sums keep their
+    own tables over the same vectors (characters._Divisors).
     """
 
     def __init__(self, ctx: FieldCtx):
-        self.fq = ctx.fq
         self.factors = factors = xn1_factorization(ctx).factors
         listed = sorted(exponent_vectors(factors, one=PolyQ.one(ctx.fq)), key=lambda vh: vh[1].sort_key())
         self.vecs = [v for v, _ in listed]
@@ -74,27 +70,8 @@ class DivisorLattice:
         self.div_index = {h: idx for idx, h in enumerate(self.divisors)}
         self.vec_index = at = {v: idx for idx, v in enumerate(self.vecs)}
         self.top = at[tuple(e for _, e in factors)]
-        q = ctx.q
-        self.quot, self.phi_q, self.mu_prime, self.sub_divisors = [], [], [], []
-        for vec in self.vecs:
-            self.quot.append([at[vec[:j] + (a - 1,) + vec[j + 1:]] if a else -1 for j, a in enumerate(vec)])
-            phi = 1
-            for (f, _), a in zip(factors, vec):
-                if a:
-                    phi *= q ** (f.degree * a) - q ** (f.degree * (a - 1))
-            self.phi_q.append(phi)
-            self.mu_prime.append(0 if any(a > 1 for a in vec) else (-1) ** sum(vec))
-            self.sub_divisors.append([at[v] for v, _ in exponent_vectors(factors, vec)])
-
-    def index(self, poly: PolyQ, name: str) -> int:
-        """Index of poly.monic(); CtxMismatch for anything but a polynomial over
-        this F_q, NotADivisor when it does not divide x^n - 1."""
-        if not isinstance(poly, PolyQ) or poly.fq != self.fq:
-            raise CtxMismatch("polynomial and field live over different F_q")
-        idx = self.div_index.get(poly.monic())
-        if idx is None:
-            raise NotADivisor(f"{name} does not divide x^n - 1")
-        return idx
+        self.quot = [[at[vec[:j] + (a - 1,) + vec[j + 1:]] if a else -1 for j, a in enumerate(vec)]
+                     for vec in self.vecs]
 
 
 def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
@@ -104,7 +81,8 @@ def divisor_lattice(ctx: FieldCtx) -> DivisorLattice:
 def exponents(ctx: FieldCtx, poly: PolyQ, name: str) -> tuple[int, ...]:
     """The exponent vector of poly.monic() over the factors f_j^e_j of x^n - 1,
     by at most e_j divisions by each f_j: no lattice, so no DIVISOR_CEILING.
-    CtxMismatch and NotADivisor as DivisorLattice.index."""
+    CtxMismatch for anything but a polynomial over this F_q, NotADivisor when
+    it does not divide x^n - 1."""
     if not isinstance(poly, PolyQ) or poly.fq != ctx.fq:
         raise CtxMismatch("polynomial and field live over different F_q")
     fq, vec = ctx.fq, []
@@ -289,6 +267,11 @@ class RDecomposition:
     def lambdas(self) -> tuple[int, ...]:
         return tuple(lam for _, _, _, lam in self.parts)
 
+    def check_field(self, ctx: FieldCtx) -> None:
+        """CtxMismatch unless r was decomposed in this field's q^n - 1."""
+        if self.N != ctx.N:
+            raise CtxMismatch(f"r was decomposed in q^n - 1 = {self.N}, not {ctx.N}")
+
 
 @dataclass(frozen=True)
 class GDecomposition:
@@ -320,6 +303,12 @@ class GDecomposition:
     @property
     def k(self) -> int:
         return self.g.degree
+
+    def check_field(self, ctx: FieldCtx) -> None:
+        """CtxMismatch unless g was decomposed over this field's x^n - 1 (the
+        extension modulus may differ)."""
+        if self.xn1 != xn1(ctx):
+            raise CtxMismatch("g was decomposed over another x^n - 1")
 
 
 def decompose_r(r: int, ctx: FieldCtx) -> RDecomposition:
@@ -356,6 +345,20 @@ def decompose_g(g: PolyQ, ctx: FieldCtx) -> GDecomposition:
     return GDecomposition(g.monic(), pi, tuple(parts), G, xn1(ctx))
 
 
+def check_seeds(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
+    """The exponent vectors of g, h and H and the decomposition of r, after
+    checking that g and h divide x^n - 1, r divides q^n - 1, d divides R and
+    H divides G (G has exponent 1 where g has 0, and 0 elsewhere); raises
+    CtxMismatch or NotADivisor otherwise.  Returns (gv, hv, Hv, rd)."""
+    gv, hv, Hv = exponents(ctx, g, "g"), exponents(ctx, h, "h"), exponents(ctx, H, "H")
+    rd = decompose_r(r, ctx)
+    if d < 1 or rd.R % d:
+        raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
+    if any(Hj > (gj == 0) for Hj, gj in zip(Hv, gv)):
+        raise NotADivisor("H does not divide G")
+    return gv, hv, Hv, rd
+
+
 # -- element-class membership ----------------------------------------------------
 
 def in_Qrd(a: FieldElement, rd: RDecomposition, d: int) -> bool:
@@ -364,6 +367,7 @@ def in_Qrd(a: FieldElement, rd: RDecomposition, d: int) -> bool:
     All three read o = ord(a): a is d-free when gcd(d, N/o) = 1, and an
     m-th power, for m | N, when o divides N/m."""
     ctx = a.ctx
+    rd.check_field(ctx)
     if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
     if a.is_zero():
@@ -377,6 +381,7 @@ def in_TgkH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> bool:
 
     All three read Ord(a): the image of (D o .) is ker ((x^n - 1)/D)(sigma),
     so a lies in it when Ord(a) divides (x^n - 1)/D."""
+    gd.check_field(a.ctx)
     if H.is_zero() or not H.divides(gd.G):
         raise NotADivisor("H does not divide G")
     if a.is_zero():

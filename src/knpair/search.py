@@ -59,7 +59,7 @@ from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_orde
 from .fqpoly import PolyQ
 from .modstruct import (
     action_columns,
-    decompose_r,
+    check_seeds,
     divisor_lattice,
     exponents,
     k_normality,
@@ -524,8 +524,8 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
 # -- exact counting ---------------------------------------------------------------
 
 def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
-    """The predicates of a count, read off the divisor lattice, after checking
-    that g and h divide x^n - 1, r divides q^n - 1, d divides R and H divides G.
+    """The predicates of a count, read off the divisor lattice, once
+    modstruct.check_seeds has checked every argument.
 
     With a, g_j, h_j, H_j and e_j the exponent vectors of an F_q-order, g, h,
     H and x^n - 1: beta of order a is h-free when a_j = e_j wherever h_j > 0;
@@ -537,14 +537,9 @@ def _count_tests(ctx: FieldCtx, g: PolyQ, r: int, h: PolyQ, d: int, H: PolyQ):
     and a multiple of no lambda_j.  Returns (hfree, in_T, in_Q): two lists by
     order index and a test on gam.
     """
-    gv, hv, Hv = exponents(ctx, g, "g"), exponents(ctx, h, "h"), exponents(ctx, H, "H")
-    rd = decompose_r(r, ctx)
-    if d < 1 or rd.R % d:
-        raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
+    gv, hv, Hv, rd = check_seeds(ctx, g, r, h, d, H)
     lattice = divisor_lattice(ctx)
     vecs, top = lattice.vecs, lattice.vecs[lattice.top]
-    if any(Hj > (gj == 0) for Hj, gj in zip(Hv, gv)):
-        raise NotADivisor("H does not divide G")
     hfree = [all(a == e for a, e, hj in zip(v, top, hv) if hj) for v in vecs]
     in_T = [
         all((a == e or not Hj) and a + gj <= e and (a + gj == e or not 0 < gj < e)

@@ -19,13 +19,15 @@ from knpair.characters import (
     upsilon_g,
 )
 from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
-from knpair.ffield import field_for, find_primitive, make_field
+from knpair.ffield import FieldCtx, field_for, find_primitive, make_field
 from knpair.fqpoly import PolyQ, divisors_of, phi_q
 from knpair.intarith import divisors as idivs
 from knpair.modstruct import (
     decompose_g,
     decompose_r,
+    fq_order,
     in_Qrd,
+    in_Sgk,
     in_TgkH,
     is_e_free,
     is_h_free,
@@ -121,26 +123,32 @@ def test_add_char_order_definition_exhaustive(q, n):
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (3, 3), (5, 2), (7, 1)])
 def test_slot_sums_closed_forms(q, n):
-    """The closed-form slot sums against literal sums of char_eval, on every
-    (m | q^n - 1, L) and every (h, a); the characters are grouped by order
-    from the definitions, not from the character tables."""
+    """The closed form S(m, c) of both tables against literal sums of
+    char_eval, on every (m | q^n - 1, L) and every (h, a); the characters are
+    grouped by order from the definitions, not from the character tables,
+    and the co-orders are gcd(L, q^n - 1) and (x^n - 1)/fq_order(a)."""
     ctx = field_for(q, n)
     tab = char_tables(ctx)
     g = find_primitive(ctx)
     power = ctx.one()
     for L in range(ctx.N):  # power = g^L
+        c = tab.mult_at[int_gcd(L, ctx.N)]
+        assert tab.mult_at[int_gcd(tab.log_codes[power.code()], ctx.N)] == c
         for m in idivs(ctx.N):
             literal = sum(char_eval(mult_char(ctx, m, j), power) for j in range(m) if int_gcd(j, m) == 1)
-            got = tab.mult_char_sum(m, L)
+            got = tab.mult.S[c][tab.mult_at[m]]
             assert type(got) is int and abs(literal - got) < 1e-9, (m, L)
         power = power * g
     orders = _add_orders_by_definition(ctx)
+    poly = xn1(ctx)
     for h in sorted(set(orders), key=lambda h: h.sort_key()):
         ys = [ctx.from_code(y) for y in range(ctx.order) if orders[y] == h]
         for code in range(ctx.order):
             a = ctx.from_code(code)
+            c = tab.co_order[tab.ord_idx[code]]
+            assert c == tab.divisor_index(poly // fq_order(a), "co-order")
             literal = sum(char_eval(add_char(y), a) for y in ys)
-            got = tab.add_char_sum(tab.div_index[h], code)
+            got = tab.add.S[c][tab.divisor_index(h, "h")]
             assert type(got) is int and abs(literal - got) < 1e-9, (h, code)
 
 
@@ -155,7 +163,8 @@ def test_charfun_dispatcher(f8):
     assert eval_charfun("rho_e", a, e=7) == rho_e(a, 7)
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (4, 2)])
+# (2, 6) and (9, 2): a repeated prime in q^n - 1; (2, 6): repeated factors of x^n - 1
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (4, 2), (2, 6), (9, 2)])
 def test_charfun_equivalence_small(q, n):
     """rho_e / upsilon_g / psi_set / gamma_rd / q_gH against direct indicators,
     exactly: every value is an int or a Fraction equal to 0 or 1."""
@@ -224,6 +233,30 @@ def test_gamma_rd_other_field_rejected():
     rd = decompose_r(7, make_field(2, 1, 3))
     with pytest.raises(CtxMismatch):
         gamma_rd(make_field(2, 1, 4).from_code(3), rd, 1)
+
+
+def test_class_tests_reject_other_field_decompositions():
+    # a decomposition made for another q^n - 1 or x^n - 1 is refused, not read
+    rd = decompose_r(3, make_field(2, 1, 2))  # q^n - 1 = 3, against 63
+    ctx = make_field(2, 1, 6)
+    with pytest.raises(CtxMismatch):
+        in_Qrd(ctx.from_code(3), rd, 1)
+    small, big = field_for(2, 2), field_for(2, 4)
+    gd = decompose_g(PolyQ(small.fq, (1, 0, 1)), small)  # (x + 1)^2, against x^4 - 1 = (x + 1)^4
+    a, one = big.from_code(3), PolyQ.one(big.fq)
+    with pytest.raises(CtxMismatch):
+        in_TgkH(a, gd, one)
+    with pytest.raises(CtxMismatch):
+        in_Sgk(a, gd)
+    with pytest.raises(CtxMismatch):
+        q_gH(a, gd, one)
+    # another extension modulus of F_2^4 has the same x^n - 1
+    gd = decompose_g(PolyQ(big.fq, (1, 0, 1)), big)
+    other = FieldCtx(big.fq, 4, (1, 0, 0, 1, 1))
+    assert other.ext_modulus != big.ext_modulus
+    for code in range(1, other.order):
+        b = other.from_code(code)
+        assert q_gH(b, gd, one) == in_TgkH(b, gd, one) == in_Sgk(b, gd)
 
 
 def test_char_tables_concurrent_first_calls():

@@ -8,12 +8,12 @@ from sympy.polys.galoistools import gf_pow_mod
 from sympy.polys.matrices import DomainMatrix
 
 from knpair import search
-from knpair.characters import psi_set, q_gH, upsilon_g
+from knpair.characters import char_tables, psi_set, q_gH, upsilon_g
 from knpair.errors import CtxMismatch, NotADivisor, TooManyDivisors, ZeroElement
 from knpair.ffield import FieldCtx, field_for, frobenius, make_field, mult_order
 from knpair.fqpoly import PolyQ, degree_k_divisors, divisors_of, factor_poly, phi_q
 from knpair.intarith import divisors as idivs
-from knpair.intarith import euler_phi
+from knpair.intarith import euler_phi, factor_int
 from knpair.modstruct import (
     GDecomposition,
     action_columns,
@@ -394,10 +394,12 @@ def test_in_Qrd_bad_d():
 @pytest.mark.parametrize("q, n", [(2, 9), (4, 4), (3, 5), (7, 3), (2, 6), (9, 2), (5, 3), (3, 6),
                                   (13, 4), (2, 12), (16, 3), (7, 6), (5, 1)])
 def test_divisor_lattice_against_factoring(q, n):
-    # the lattice reads only the factorization of x^n - 1; the path it
-    # replaced factors every divisor and enumerates the divisors of each
+    # the lattice and the character tables' two divisor lattices read only
+    # the factorizations of x^n - 1 and q^n - 1; the path they replaced
+    # factors every divisor and enumerates the divisors of each
     ctx = field_for(q, n)
     lattice = divisor_lattice(ctx)
+    tab = char_tables(ctx)
     poly = xn1(ctx)
     divs = sorted(divisors_of(poly), key=lambda h: h.sort_key())
     index = {h: i for i, h in enumerate(divs)}
@@ -406,15 +408,28 @@ def test_divisor_lattice_against_factoring(q, n):
     assert lattice.vec_index == {v: i for i, v in enumerate(lattice.vecs)}
     assert lattice.top == index[poly]
     irreducibles = xn1_factorization(ctx).irreducibles
+    add = tab.add
     for i, h in enumerate(divs):
         fact = factor_poly(h)
         scaled = h * PolyQ(ctx.fq, (q - 1,))
-        assert lattice.index(h, "h") == lattice.index(scaled, "h") == i
+        j = tab.divisor_index(h, "h")
+        assert tab.divisor_index(scaled, "h") == j
+        assert tab.co_order[i] == tab.divisor_index(poly // h, "co")
         assert exponents(ctx, h, "h") == exponents(ctx, scaled, "h") == lattice.vecs[i]
-        assert lattice.phi_q[i] == fact.phi_q()
-        assert lattice.mu_prime[i] == fact.moebius_prime()
-        assert lattice.sub_divisors[i] == [index[d] for d in divisors_of(h)]
+        assert add.phi[j] == fact.phi_q()
+        assert add.mu[j] == fact.moebius_prime()
+        assert add.subs[j] == [tab.divisor_index(d, "d") for d in divisors_of(h)]
+        assert add.norm[j] == q**h.degree
         assert lattice.quot[i] == [index[h // f] if f.divides(h) else -1 for f in irreducibles]
+    mult = tab.mult
+    assert sorted(mult.norm) == idivs(ctx.N)
+    for m in idivs(ctx.N):
+        fact = factor_int(m)
+        j = tab.mult_at[m]
+        assert mult.norm[j] == m
+        assert mult.phi[j] == fact.phi()
+        assert mult.mu[j] == fact.moebius()
+        assert sorted(mult.norm[d] for d in mult.subs[j]) == fact.divisors()
 
 
 def test_divisor_lattice_ceiling_before_any_product(monkeypatch):
