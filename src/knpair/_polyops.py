@@ -2,7 +2,9 @@
 
 ``fq`` is an ``ffield.Fq``.  Lists are constant-term first with no trailing
 zeros; [] is the zero polynomial.  Shared by the modulus search in ffield,
-by FieldCtx's element arithmetic and by fqpoly.PolyQ.
+by FieldCtx's element arithmetic for odd p (characteristic 2 runs on
+``ffield._F2Kernel``, whose change of basis is built here), by the
+Frobenius matrices and by fqpoly.PolyQ.
 
 Products (``mul``) and divisions (``divmod_``) run one of two kernels,
 chosen by ``fq``:

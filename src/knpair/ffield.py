@@ -13,6 +13,19 @@ term in the least significant digit.  The search (``_least_irreducible``)
 drops the candidates with a root in F_q while q <= FQ_TABLE_CEILING and
 hands the rest, in code order, to Ben-Or's test, which alone accepts a
 modulus.
+
+Element arithmetic (``FieldCtx._mul``, ``_inv``, ``_pow``) multiplies and
+reduces coefficient lists with ``_polyops`` for odd p.  For p = 2 it runs on
+a private kernel (``_F2Kernel``), built on first use and kept on
+``FieldCtx.memo``, that holds an element as an int of D = t*n bits: F_{q^n}
+read as F_2[z]/(F).  theta is the least code >= 2 whose powers theta^0 ..
+theta^(D-1) are F_2-independent, and F is its minimal polynomial over F_2,
+of degree D.  z -> theta is then a ring map F_2[z]/(F) -> F_{q^n} that is
+F_2-linear and onto, between spaces of the same dimension D, so it is an
+isomorphism of algebras: products, inverses and powers computed on the ints
+are those of the field, and the change of basis (z^k -> theta^k) and its
+inverse carry elements across.  For t = 1, theta = x, F is the extension
+modulus and the change of basis is the identity.
 """
 
 from __future__ import annotations
@@ -316,13 +329,21 @@ class FieldCtx:
             return (0,) * self.n
         return tuple(map(self.fq.mul, a, repeat(s)))
 
+    # Characteristic 2 runs on _F2Kernel ints, built on first use; odd p
+    # multiplies and reduces coefficient lists with _polyops.
     def _mul(self, a: tuple, b: tuple) -> tuple:
+        if self.p == 2:
+            k = self.memo(_F2Kernel)
+            return k.from_z(k.mul(k.to_z(a), k.to_z(b)))
         fq = self.fq
         prod = _polyops.mul(fq, _polyops.trim(list(a)), _polyops.trim(list(b)))
         rem = _polyops.mod(fq, prod, self.ext_modulus)
         return tuple(rem + [0] * (self.n - len(rem)))
 
     def _inv(self, a: tuple) -> tuple:
+        if self.p == 2:
+            k = self.memo(_F2Kernel)
+            return k.from_z(k.inv(k.to_z(a)))
         fq = self.fq
         va = _polyops.trim(list(a))
         if not va:
@@ -335,6 +356,9 @@ class FieldCtx:
             return (self.fq.pow(a[0], e),)
         if e < 0:
             a, e = self._inv(a), -e
+        if self.p == 2:
+            k = self.memo(_F2Kernel)
+            return k.from_z(k.pow(k.to_z(a), e))
         out = _polyops.pow_mod(self.fq, _polyops.trim(list(a)), e, self.ext_modulus)
         return tuple(out + [0] * (self.n - len(out)))
 
@@ -411,6 +435,200 @@ class FieldCtx:
 
 def _factor_qn_minus_1(ctx: FieldCtx) -> IntFactorization:
     return factor_int(ctx.N)
+
+
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _digit_tuples(t: int, count: int) -> list[tuple[int, ...]]:
+    """Entry v: the count base-2^t digits of v, least significant first."""
+    mask = (1 << t) - 1
+    return [tuple(v >> (t * i) & mask for i in range(count)) for v in range(1 << (t * count))]
+
+
+def _byte_tables(images: list[int]) -> list[tuple[int, list[int]]]:
+    """The F_2-linear map with images[i] the image of bit i, as (shift, table)
+    pairs: the map at v is the XOR of table[v >> shift & 255] over the pairs."""
+    return [(s, _spans(images[s:s + 8])) for s in range(0, len(images), 8)]
+
+
+def _spans(images: list[int]) -> list[int]:
+    """Entry v: the XOR of images[i] over the set bits i of v."""
+    table = [0]
+    for img in images:
+        table += [x ^ img for x in table]
+    return table
+
+
+def _window(b: int) -> list[int]:
+    """Entry w: the carry-less product of w and b, for w < 16."""
+    b2, b4, b8 = b << 1, b << 2, b << 3
+    b3, b5, b6 = b2 ^ b, b4 ^ b, b4 ^ b2
+    b7 = b6 ^ b
+    return [0, b, b2, b3, b4, b5, b6, b7, b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b5, b8 ^ b6, b8 ^ b7]
+
+
+def _clmul(a: int, win: list[int]) -> int:
+    """The carry-less product of a and b, for win = _window(b): 4 bits of a a step."""
+    r = 0
+    s = (a.bit_length() + 3) & ~3
+    while s:
+        s -= 4
+        r = r << 4 ^ win[a >> s & 15]
+    return r
+
+
+def _theta_basis(ctx: FieldCtx) -> tuple[list[int], list[int], int]:
+    """(powers, inverse, F) for the least code theta >= 2 whose powers
+    theta^0 .. theta^(D-1) are F_2-independent, D = t*n.
+
+    powers[k] is the code of theta^k; inverse[b] is the z-vector whose image
+    under z^k -> powers[k] is 1 << b; F, the minimal polynomial of theta, is
+    read off the dependency of theta^D on the lower powers.  The powers are
+    multiplied and reduced by _polyops, not by FieldCtx._mul, which this
+    basis serves.
+    """
+    fq, t, n, ext = ctx.fq, ctx.t, ctx.n, list(ctx.ext_modulus)
+    D, mask = t * n, ctx.q - 1
+    # for n > 1 the codes below q lie in F_q, of degree t < D: skip them
+    for theta in range(2 if n == 1 else ctx.q, ctx.order):
+        base = _polyops.trim([theta >> (t * i) & mask for i in range(n)])
+        pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (code, z-vector)
+        powers, cur = [], [fq.one]
+        for k in range(D + 1):
+            code = sum(c << (t * i) for i, c in enumerate(cur))
+            row, vec = code, 1 << k
+            while row and (row.bit_length() - 1) in pivots:
+                prow, pvec = pivots[row.bit_length() - 1]
+                row, vec = row ^ prow, vec ^ pvec
+            if k == D:  # theta^D + sum f_k theta^k = 0: vec is F
+                inverse = []
+                for b in range(D):
+                    row, z = 1 << b, 0
+                    while row:
+                        prow, pvec = pivots[row.bit_length() - 1]
+                        row, z = row ^ prow, z ^ pvec
+                    inverse.append(z)
+                return powers, inverse, vec
+            if not row:
+                break
+            pivots[row.bit_length() - 1] = (row, vec)
+            powers.append(code)
+            cur = _polyops.mod(fq, _polyops.mul(fq, cur, base), ext)
+    raise ReducibleModulus("no F_2-generator found; a modulus is reducible")  # unreachable
+
+
+class _F2Kernel:
+    """F_{q^n}, q = 2^t, as F_2[z]/(F): every element a D-bit int, D = t*n.
+
+    z stands for theta (``_theta_basis``).  The tower code of sum b_k z^k is
+    the XOR of the codes of theta^k over the set bits k; this map is applied
+    with one table per 8 bits (``to_code``), its inverse with one table per
+    coefficient (``coeff_tabs``).  Where theta's powers are the unit codes
+    (t = 1: theta = x, F the extension modulus; n = 1: theta = y, F the base
+    modulus) both are the identity and ``to_code`` is None.
+
+    A product is carry-less over 4-bit windows of one factor and reduced
+    8 bits at a time with ``fold[c]`` = c * z^D mod F.  Squaring is
+    F_2-linear, so ``pow`` squares with one lookup per 8 bits in tables of
+    the spread-and-reduced squares (``squares``).  The inverse is the
+    extended Euclidean algorithm on binary polynomials: shift and XOR, no
+    division.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        t, n = ctx.t, ctx.n
+        D = self.D = t * n
+        if t == 1:
+            powers, inverse = None, None
+            self.F = sum(c << i for i, c in enumerate(ctx.ext_modulus))
+        else:
+            powers, inverse, self.F = _theta_basis(ctx)
+            if powers == [1 << k for k in range(D)]:
+                powers = None
+        self.t = t
+        # element tuple -> int: one table per coefficient (t > 1); t = 1 reads the bits
+        if t > 1:
+            images = [1 << b for b in range(D)] if powers is None else inverse
+            self.coeff_tabs = [_spans(images[t * i:t * i + t]) for i in range(n)]
+        # int -> tower code -> coefficient tuple, by digit groups of at most 8 bits
+        self.to_code = None if powers is None else _byte_tables(powers)
+        per = max(1, 8 // t)
+        digits = {count: _digit_tuples(t, count) for count in {per, n % per or per}}
+        self.groups = [(t * i, (1 << (t * min(per, n - i))) - 1, digits[min(per, n - i)])
+                       for i in range(0, n, per)]
+        F, high = self.F, []  # z^(D+i) mod F for i < 8
+        v = F ^ (1 << D)
+        for _ in range(8):
+            high.append(v)
+            v <<= 1
+            if v >> D:
+                v ^= F
+        self.fold = _spans(high)
+        # a product of two elements has degree <= 2D - 2: bits D .. 2D - 2
+        self.shifts = [D + s for s in range(((D - 2) // 8) * 8, -1, -8)]
+        self.squares = _byte_tables([self.reduce(1 << 2 * k) for k in range(D)])
+
+    # -- change of representation ---------------------------------------------
+    def to_z(self, a: tuple) -> int:
+        if self.t == 1:
+            return int(bytes(a).translate(_BITS_TO_TEXT)[::-1], 2)
+        v = 0
+        for tab, c in zip(self.coeff_tabs, a):
+            v ^= tab[c]
+        return v
+
+    def from_z(self, v: int) -> tuple:
+        if self.to_code is not None:
+            code = 0
+            for s, tab in self.to_code:
+                code ^= tab[v >> s & 255]
+            v = code
+        out = ()
+        for s, mask, tab in self.groups:
+            out += tab[v >> s & mask]
+        return out
+
+    # -- arithmetic on ints ---------------------------------------------------
+    def reduce(self, r: int) -> int:
+        """r mod F, for r of degree <= 2D - 2."""
+        D, fold = self.D, self.fold
+        for sh in self.shifts:
+            c = r >> sh
+            if c:
+                r ^= (c << sh) ^ (fold[c] << (sh - D))
+        return r
+
+    def mul(self, a: int, b: int) -> int:
+        return self.reduce(_clmul(a, _window(b)))
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0, left to right; the window table of a serves every product."""
+        if e == 0:
+            return 1
+        win = _window(a)
+        squares, reduce = self.squares, self.reduce
+        r = a
+        for bit in bin(e)[3:]:
+            x = 0
+            for s, tab in squares:
+                x ^= tab[r >> s & 255]
+            r = reduce(_clmul(x, win)) if bit == "1" else x
+        return r
+
+    def inv(self, a: int) -> int:
+        """g with a*g = 1 mod F: u = g1*a and v = g2*a mod F throughout, and
+        each step cancels the leading term of the longer of u and v."""
+        if not a:
+            raise DivisionByZero("inverse of zero element")
+        u, v, g1, g2 = a, self.F, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
 
 class FieldElement:

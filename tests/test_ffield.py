@@ -1,9 +1,12 @@
+import random
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow_mod, gf_rem
 
 from knpair import _polyops, ffield
 from knpair.errors import (
@@ -178,7 +181,8 @@ def test_pow_and_lagrange():
 @pytest.mark.parametrize("q", [2, 7, 421, 4, 9, 16])
 def test_pow_degree_one_against_polynomial_path(q):
     # _pow on F_q^1 takes the subfield's scalar power; the reference squares
-    # and multiplies through _mul and _inv, the polynomial multiply-and-reduce
+    # and multiplies through _mul and _inv, which is the characteristic-2
+    # kernel for q = 2, 4, 16 and the polynomial multiply-and-reduce otherwise
     ctx = field_for(q, 1)
 
     def general(a, e):
@@ -401,7 +405,8 @@ def test_default_moduli_of_benchmark_and_reproduce_fields():
         assert (ctx.base_modulus, ctx.ext_modulus) == moduli, (p, t, n)
 
 
-TOWERS = [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2), (2, 6, 2), (7, 2, 2)]
+TOWERS = [(2, 2, 3), (2, 3, 2), (3, 2, 3), (2, 4, 2), (5, 2, 2), (2, 6, 2), (7, 2, 2),
+          (2, 1, 20), (2, 4, 4), (2, 2, 10)]
 
 
 @pytest.mark.parametrize("p,t,n", TOWERS)
@@ -458,3 +463,142 @@ def test_least_irreducible_above_table_ceiling(d):
     fq = make_field(4099, 1, 1).fq
     assert fq.q > ffield.FQ_TABLE_CEILING
     assert ffield._least_irreducible(fq, d) == plain_least_irreducible(fq, d)
+
+
+# -- the characteristic-2 kernel ------------------------------------------------
+
+def _sympy_poly(coeffs):
+    """Constant-first F_2 coefficients as a galoistools list, leading first."""
+    return _polyops.trim([int(c) for c in coeffs])[::-1]
+
+
+def _from_sympy(poly, n):
+    out = [int(c) for c in reversed(poly)]
+    return tuple(out + [0] * (n - len(out)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 13, 16, 17, 20, 24])
+def test_f2_kernel_against_sympy(n):
+    # t = 1: products, powers and inverses against galoistools over F_2
+    ctx = make_field(2, 1, n)
+    mod = _sympy_poly(ctx.ext_modulus)
+    rng = random.Random(n)
+    els = [ctx.from_code(rng.randrange(1, ctx.order)).coeffs for _ in range(25)]
+    for a, b in zip(els, els[1:] + els[:1]):
+        want = gf_rem(gf_mul(_sympy_poly(a), _sympy_poly(b), 2, ZZ), mod, 2, ZZ)
+        assert ctx._mul(a, b) == _from_sympy(want, n)
+        for e in (0, 1, 2, 3, rng.randrange(ctx.order), ctx.N, 2 * ctx.N + 7):
+            assert ctx._pow(a, e) == _from_sympy(gf_pow_mod(_sympy_poly(a), e, mod, 2, ZZ), n)
+        s, _, h = gf_gcdex(_sympy_poly(a), mod, 2, ZZ)
+        assert h == [1]
+        assert ctx._inv(a) == _from_sympy(gf_rem(s, mod, 2, ZZ), n)
+
+
+def _reference_mul(ctx, a, b):
+    fq = ctx.fq
+    rem = _polyops.mod(fq, _polyops.mul(fq, _polyops.trim(list(a)), _polyops.trim(list(b))), ctx.ext_modulus)
+    return tuple(rem + [0] * (ctx.n - len(rem)))
+
+
+def _reference_inv(ctx, a):
+    inv = _polyops.inv_mod(ctx.fq, _polyops.trim(list(a)), ctx.ext_modulus)
+    return tuple(inv + [0] * (ctx.n - len(inv)))
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (4, 6), (4, 10), (8, 2), (8, 6), (16, 4), (16, 12), (32, 3),
+                                 (16, 1), (64, 1)])
+def test_f2_kernel_against_polynomial_path(q, n):
+    # t > 1 (and n = 1): the kernel against _polyops multiply-and-reduce
+    ctx = field_for(q, n)
+    rng = random.Random(q * 100 + n)
+    els = [ctx.from_code(rng.randrange(1, ctx.order)).coeffs for _ in range(25)]
+    for a, b in zip(els, els[1:] + els[:1]):
+        assert ctx._mul(a, b) == _reference_mul(ctx, a, b)
+        assert ctx._inv(a) == _reference_inv(ctx, a)
+        e = rng.randrange(ctx.order)
+        pa = _polyops.pow_mod(ctx.fq, _polyops.trim(list(a)), e, ctx.ext_modulus)
+        assert ctx._pow(a, e) == tuple(pa + [0] * (n - len(pa)))
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (8, 2)])
+def test_f2_kernel_exhaustive(q, n):
+    ctx = field_for(q, n)
+    kernel = ctx.memo(ffield._F2Kernel)
+    els = [ctx.from_code(c).coeffs for c in range(ctx.order)]
+    assert sorted(kernel.to_z(a) for a in els) == list(range(ctx.order))
+    for a in els:
+        assert kernel.from_z(kernel.to_z(a)) == a
+        for b in els:
+            assert ctx._mul(a, b) == _reference_mul(ctx, a, b)
+        if any(a):
+            assert ctx._inv(a) == _reference_inv(ctx, a)
+
+
+def _f2_rank(codes):
+    pivots = {}
+    for row in codes:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (8, 2), (16, 4), (2, 7), (4, 1)])
+def test_f2_kernel_theta_is_least_generator(q, n):
+    # theta is the least code >= 2 with D independent powers, and F(theta) = 0
+    ctx = field_for(q, n)
+    D, t = ctx.t * n, ctx.t
+    one = ctx.one().coeffs
+
+    def powers(code):
+        cur, out = one, []
+        for _ in range(D + 1):
+            out.append(cur)
+            cur = _reference_mul(ctx, cur, ctx.from_code(code).coeffs)
+        return out
+
+    def code_of(a):
+        return sum(c << (t * i) for i, c in enumerate(a))
+
+    theta = next(c for c in range(2, ctx.order) if _f2_rank([code_of(x) for x in powers(c)[:D]]) == D)
+    kernel = ctx.memo(ffield._F2Kernel)
+    assert kernel.from_z(2) == ctx.from_code(theta).coeffs
+    acc = 0
+    for k, x in enumerate(powers(theta)):
+        if kernel.F >> k & 1:
+            acc ^= code_of(x)
+    assert acc == 0 and kernel.F.bit_length() == D + 1
+    if t == 1:  # theta = x and F the extension modulus
+        assert theta == 2 and kernel.F == sum(c << i for i, c in enumerate(ctx.ext_modulus))
+
+
+@pytest.mark.parametrize("q,n", [(2, 20), (4, 5), (16, 4), (8, 1)])
+def test_f2_kernel_edge_cases(q, n):
+    ctx = field_for(q, n)
+    zero, one = ctx.zero().coeffs, ctx.one().coeffs
+    a = ctx.from_code(ctx.order // 3).coeffs
+    with pytest.raises(DivisionByZero):
+        ctx._inv(zero)
+    with pytest.raises(DivisionByZero):
+        ctx._pow(zero, -1)
+    assert ctx._pow(a, 0) == ctx._pow(zero, 0) == one
+    assert ctx._pow(zero, 5) == zero
+    assert ctx._pow(a, -1) == ctx._inv(a)
+    assert ctx._pow(a, -3) == ctx._inv(ctx._mul(a, ctx._mul(a, a)))
+    assert ctx._pow(a, ctx.N) == one
+    assert ctx._pow(a, ctx.N + 2) == ctx._mul(a, a)
+    assert ctx._pow(a, 5 * ctx.N - 1) == ctx._inv(a)
+
+
+def test_f2_kernel_not_built_by_setup(monkeypatch):
+    from knpair.modstruct import xn1_factorization
+
+    monkeypatch.setattr(ffield, "_CTX_CACHE", {})
+    ctx = field_for(4, 6)
+    ctx.fact_qn_minus_1
+    xn1_factorization(ctx)
+    assert make_field(2, 2, 6) is ctx
+    assert ffield._F2Kernel not in ctx._memo
+    ctx._mul(ctx.one().coeffs, ctx.one().coeffs)
+    assert ffield._F2Kernel in ctx._memo
