@@ -26,6 +26,11 @@ isomorphism of algebras: products, inverses and powers computed on the ints
 are those of the field, and the change of basis (z^k -> theta^k) and its
 inverse carry elements across.  For t = 1, theta = x, F is the extension
 modulus and the change of basis is the identity.
+
+``_Lanes`` packs an element's n*t F_p digits as lanes of one int, which
+compare as codes do; search's two engines walk spans of packed vectors, and
+for p = 2, where the packed value is the code, _F2Kernel's tables are its
+spans and linear maps.
 """
 
 from __future__ import annotations
@@ -446,18 +451,134 @@ def _digit_tuples(t: int, count: int) -> list[tuple[int, ...]]:
     return [tuple(v >> (t * i) & mask for i in range(count)) for v in range(1 << (t * count))]
 
 
-def _byte_tables(images: list[int]) -> list[tuple[int, list[int]]]:
-    """The F_2-linear map with images[i] the image of bit i, as (shift, table)
-    pairs: the map at v is the XOR of table[v >> shift & 255] over the pairs."""
-    return [(s, _spans(images[s:s + 8])) for s in range(0, len(images), 8)]
+class _Lanes:
+    """F_{q^n} as packed ints: the searches' and the table engine's form of an
+    element, and the builder of _F2Kernel's tables.
+
+    An element's code is the base-p number of its D = n*t F_p coordinates,
+    digit k = i*t + j being digit j of coefficient i.  Its packed value holds
+    the same digits as w-bit lanes of one int, digit k in lane k, so packed
+    values compare as their codes do.  For p = 2, w = 1: the packed value is
+    the code and addition is XOR.  For odd p, w = p.bit_length() + 1, so a
+    lane-wise sum of two digits, at most 2p - 2, stays in its lane; adding K,
+    2^(w-1) - p in every lane, sets a lane's top bit (HI) exactly where its
+    sum reached p, and p is taken off there.  ``copies`` elements can sit side
+    by side in one int, element c in the ``width`` bits from c*width up; add
+    and span then act on all of them at once.
+    """
+
+    def __init__(self, ctx: FieldCtx, copies: int = 1):
+        self.ctx = ctx
+        self.p = p = ctx.p
+        self.D = D = ctx.n * ctx.t
+        self.w = w = 1 if p == 2 else p.bit_length() + 1
+        self.width = w * D
+        ones = sum(1 << w * k for k in range(D * copies))
+        self.K, self.HI = ((1 << w - 1) - p) * ones, (1 << w - 1) * ones
+        self.m = m = D // 2
+        self.split = p**m
+        self.shift = w * m
+        self.mask = (1 << w * m) - 1
+        # one F_q coefficient is t lanes: its packed value by code, and back
+        self.coeff_bits = w * ctx.t
+        self.digit = self.span([1 << w * j for j in range(ctx.t)])
+        self.digit_code = _scatter(self.digit, range(ctx.q))
+        # linear_map's lane groups
+        self.group = g = max(1, 8 // w)
+        self.group_mask = (1 << w * g) - 1
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        return s - (((s + self.K) & self.HI) >> self.w - 1) * self.p
+
+    def pack(self, coeffs: tuple) -> int:
+        digit, bits = self.digit, self.coeff_bits
+        return sum(digit[c] << bits * i for i, c in enumerate(coeffs))
+
+    def unpack(self, packed: int) -> tuple:
+        digit_code, bits, mask = self.digit_code, self.coeff_bits, (1 << self.coeff_bits) - 1
+        return tuple(digit_code[packed >> bits * i & mask] for i in range(self.ctx.n))
+
+    def code(self, packed: int) -> int:
+        if self.p == 2:
+            return packed
+        code, q = 0, self.ctx.q
+        for c in reversed(self.unpack(packed)):
+            code = code * q + c
+        return code
+
+    def fp_basis(self, vectors: list[tuple]) -> list[int]:
+        """y^j b for b in vectors and j < t, packed: an F_p basis of their F_q
+        span when they are independent.  y^j has code p^j in F_q."""
+        ctx = self.ctx
+        return [self.pack(ctx._scale(b, self.p**j)) for b in vectors for j in range(ctx.t)]
+
+    def span(self, vectors: list[int]) -> list[int]:
+        """sum_k c_k vectors[k], packed, for every c in F_p^len(vectors), at
+        index sum_k c_k p^k."""
+        add, out = xor if self.p == 2 else self.add, [0]
+        for v in vectors:
+            c, base = 0, out
+            for _ in range(self.p - 1):
+                c = add(c, v)
+                out = out + [add(s, c) for s in base]
+        return out
+
+    def halves(self, vectors: list[int]) -> tuple[list[int], list[int]]:
+        """The spans of the first len // 2 vectors and of the others: the span
+        of all of them is every sum of one of each, at index
+        low + p^(len // 2) * high, so a walk takes one span of each half."""
+        half = len(vectors) // 2
+        return self.span(vectors[:half]), self.span(vectors[half:])
+
+    def decoders(self) -> tuple[list[int], list[int]]:
+        """Two tables that turn a packed value into its code, for odd p: the
+        code of its low m lanes and of the others, each by the packed value of
+        those lanes.  Each has one entry per packed value up to the largest,
+        so the pair grows with the field; only the table engine builds them."""
+        return self._decoder(self.m), self._decoder(self.D - self.m)
+
+    def _decoder(self, lanes: int) -> list[int]:
+        """The code of the digits in the first ``lanes`` lanes, by packed value;
+        one entry per packed value up to the largest, all digits p - 1."""
+        packed = self.span([1 << self.w * k for k in range(lanes)])
+        return _scatter(packed, range(len(packed)))
+
+    def linear_map(self, images: list[int]) -> list[tuple[int, list[int]]]:
+        """The F_p-linear map that sends lane k's unit to images[k], as
+        (shift, table) pairs: one per group of g = max(1, 8 // w) lanes, from
+        bit ``shift`` up, its table indexed by the packed value of the group's
+        lanes, so it has at most max(2^8, 2^w) entries.  The map's value at a
+        is the lane-wise sum of table[a >> shift & group_mask] over the pairs."""
+        w, g = self.w, self.group
+        # the packed values of a group's lanes, by index; a shorter last group
+        # takes a prefix
+        keys = self.span([1 << w * i for i in range(min(g, self.D))])
+        return [(w * k, _scatter(keys, self.span(images[k:k + g]))) for k in range(0, self.D, g)]
+
+    def apply(self, pairs: list[tuple[int, list[int]]], a: int) -> int:
+        """The linear map with these linear_map tables at the packed a."""
+        mask, acc = self.group_mask, 0
+        if self.p == 2:
+            for shift, table in pairs:
+                acc ^= table[a >> shift & mask]
+            return acc
+        p, K, HI, top_bit = self.p, self.K, self.HI, self.w - 1
+        for shift, table in pairs:
+            acc += table[a >> shift & mask]
+            acc -= (((acc + K) & HI) >> top_bit) * p
+        return acc
 
 
-def _spans(images: list[int]) -> list[int]:
-    """Entry v: the XOR of images[i] over the set bits i of v."""
-    table = [0]
-    for img in images:
-        table += [x ^ img for x in table]
+def _scatter(keys: list[int], values) -> list[int]:
+    """A list holding values[i] at keys[i], 0 elsewhere, up to the last key read."""
+    table = [0] * (keys[len(values) - 1] + 1)
+    for key, v in zip(keys, values):
+        table[key] = v
     return table
+
 
 
 def _window(b: int) -> list[int]:
@@ -547,12 +668,13 @@ class _F2Kernel:
             if powers == [1 << k for k in range(D)]:
                 powers = None
         self.t = t
+        lanes = _Lanes(ctx)
         # element tuple -> int: one table per coefficient (t > 1); t = 1 reads the bits
         if t > 1:
             images = [1 << b for b in range(D)] if powers is None else inverse
-            self.coeff_tabs = [_spans(images[t * i:t * i + t]) for i in range(n)]
+            self.coeff_tabs = [lanes.span(images[t * i:t * i + t]) for i in range(n)]
         # int -> tower code -> coefficient tuple, by digit groups of at most 8 bits
-        self.to_code = None if powers is None else _byte_tables(powers)
+        self.to_code = None if powers is None else lanes.linear_map(powers)
         per = max(1, 8 // t)
         digits = {count: _digit_tuples(t, count) for count in {per, n % per or per}}
         self.groups = [(t * i, (1 << (t * min(per, n - i))) - 1, digits[min(per, n - i)])
@@ -564,10 +686,10 @@ class _F2Kernel:
             v <<= 1
             if v >> D:
                 v ^= F
-        self.fold = _spans(high)
+        self.fold = lanes.span(high)
         # a product of two elements has degree <= 2D - 2: bits D .. 2D - 2
         self.shifts = [D + s for s in range(((D - 2) // 8) * 8, -1, -8)]
-        self.squares = _byte_tables([self.reduce(1 << 2 * k) for k in range(D)])
+        self.squares = lanes.linear_map([self.reduce(1 << 2 * k) for k in range(D)])
 
     # -- change of representation ---------------------------------------------
     def to_z(self, a: tuple) -> int:

@@ -2,31 +2,31 @@
 element censuses.
 
 Two engines coexist, both on one element representation, packed ints
-(_Lanes): an element's n*t F_p coordinates, the base-p digits of its code,
-sit in lanes of one int, so packed values compare as codes do, and an
+(ffield._Lanes): an element's n*t F_p coordinates, the base-p digits of its
+code, sit in lanes of one int, so packed values compare as codes do, and an
 addition is one XOR for p = 2 and a few int operations for odd p.  Both read
 the divisor lattice of x^n - 1 (modstruct.divisor_lattice) and the echelon
 bases of the kernels ker h(sigma) (modstruct.kernel_basis).
 
 The streaming engine is what the searches use; it never builds a
 field-sized table, so found-cases exit early and not-found cases stay within
-memory.  search_pair visits only the k-normal elements, those whose F_q-order
-h has degree n - k: for each such h it streams ker h(sigma), in code order,
-as the sums of the spans of the two halves of its F_p basis, each element
-carried in one int together with its images under (h/f)(sigma) for the prime
-factors f of h; it keeps those no image sends to zero, and merges these
-streams by value.  Each stream also marks the start of every run it enters,
-so no stream walks more than one run past the hit.  A conjugate
-alpha^(q^i) lies in the same stream and has the same verdict, so only the
-least of its conjugates, the first to come, is tested.  Each candidate then
-has its inverse's k-normality checked by descent through the lattice's
-quotients, and its exact order last.  The descent applies h(sigma) by lookup
-tables over groups of lanes (_Lanes.linear_map), built from the divisor's
-matrix (modstruct.action_columns) on first use and kept on the context;
-only the inverse and the order test take coefficient tuples.  direct_search
-walks, in code order, the beta whose constant coefficient is 0, which give
-every alpha = beta^q - beta, each beta carried with its alpha, with the
-same per-element predicates.
+memory.  Both searches walk one stream, _Predicates.stream: the span of a
+top-echelon F_p basis in code order, each element carried in one int with
+its images under some lattice maps h(sigma), flagged when none is zero, and
+the start of each run marked.  search_pair merges by value the streams of
+ker h(sigma) for the h of degree n - k, with the maps (h/f)(sigma) for the
+primes f of h, which flag the elements of F_q-order exactly h; no stream
+walks more than one run past the hit.  direct_search streams the beta with
+beta_0 = 0, which give every alpha = beta^q - beta, with the maps
+((x^n - 1)/f)(sigma) for the primes f of (x^n - 1)/(x - 1), which flag the
+beta whose alpha is 1-normal.  Conjugates share a stream and a verdict, so
+only the least, the first to come, goes to the one candidate test,
+_Predicates.pair_test: the inverse's k-normality by descent through the
+lattice's quotients, then the exact order.  The streams and the descent
+apply h(sigma) by lookup tables over groups of lanes (_Lanes.linear_map),
+built from the divisor's matrix (modstruct.action_columns) on first use and
+kept on the context; only the inverse and the order test take coefficient
+tuples.
 
 The table engine builds, once per context, the F_q-order table first and
 then one discrete-log walk.  The F_q-order table starts at the index of
@@ -48,14 +48,13 @@ direct modstruct predicates, before it is reported.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd as int_gcd
 
 from .errors import FieldTooLarge, NotADivisor, RNotDivisor
-from .ffield import FieldCtx, FieldElement, field_for, find_primitive, mult_order
+from .ffield import FieldCtx, FieldElement, _Lanes, field_for, find_primitive, mult_order
 from .fqpoly import PolyQ
 from .modstruct import (
     action_columns,
@@ -76,136 +75,14 @@ class SearchOutcome:
     found: bool
     witness: FieldElement | None
     scanned: int
-    elapsed: float
 
 
 # -- per-context scaffolding -----------------------------------------------------
 
-class _Lanes:
-    """F_{q^n} as packed ints, for both engines.
-
-    An element's code is the base-p number of its D = n*t F_p coordinates,
-    digit k = i*t + j being digit j of coefficient i.  Its packed value holds
-    the same digits as w-bit lanes of one int, digit k in lane k, so packed
-    values compare as their codes do.  For p = 2, w = 1: the packed value is
-    the code and addition is XOR.  For odd p, w = p.bit_length() + 1, so a
-    lane-wise sum of two digits, at most 2p - 2, stays in its lane; adding K,
-    2^(w-1) - p in every lane, sets a lane's top bit (HI) exactly where its
-    sum reached p, and p is taken off there.  ``copies`` elements can sit side
-    by side in one int, element c in the ``width`` bits from c*width up; add
-    and span then act on all of them at once.
-    """
-
-    def __init__(self, ctx: FieldCtx, copies: int = 1):
-        self.ctx = ctx
-        self.p = p = ctx.p
-        self.D = D = ctx.n * ctx.t
-        self.w = w = 1 if p == 2 else p.bit_length() + 1
-        self.width = w * D
-        ones = sum(1 << w * k for k in range(D * copies))
-        self.K, self.HI = ((1 << w - 1) - p) * ones, (1 << w - 1) * ones
-        self.m = m = D // 2
-        self.split = p**m
-        self.shift = w * m
-        self.mask = (1 << w * m) - 1
-        # one F_q coefficient is t lanes: its packed value by code, and back
-        self.coeff_bits = w * ctx.t
-        self.digit = self.span([1 << w * j for j in range(ctx.t)])
-        self.digit_code = _scatter(self.digit, range(ctx.q))
-        # linear_map's lane groups
-        self.group = g = max(1, 8 // w)
-        self.group_mask = (1 << w * g) - 1
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        s = a + b
-        return s - (((s + self.K) & self.HI) >> self.w - 1) * self.p
-
-    def pack(self, coeffs: tuple) -> int:
-        digit, bits = self.digit, self.coeff_bits
-        return sum(digit[c] << bits * i for i, c in enumerate(coeffs))
-
-    def unpack(self, packed: int) -> tuple:
-        digit_code, bits, mask = self.digit_code, self.coeff_bits, (1 << self.coeff_bits) - 1
-        return tuple(digit_code[packed >> bits * i & mask] for i in range(self.ctx.n))
-
-    def code(self, packed: int) -> int:
-        if self.p == 2:
-            return packed
-        code, q = 0, self.ctx.q
-        for c in reversed(self.unpack(packed)):
-            code = code * q + c
-        return code
-
-    def fp_basis(self, vectors: list[tuple]) -> list[int]:
-        """y^j b for b in vectors and j < t, packed: an F_p basis of their F_q
-        span when they are independent.  y^j has code p^j in F_q."""
-        ctx = self.ctx
-        return [self.pack(ctx._scale(b, self.p**j)) for b in vectors for j in range(ctx.t)]
-
-    def span(self, vectors: list[int]) -> list[int]:
-        """sum_k c_k vectors[k], packed, for every c in F_p^len(vectors), at
-        index sum_k c_k p^k."""
-        add, out = self.add, [0]
-        for v in vectors:
-            multiples = [0]
-            for _ in range(self.p - 1):
-                multiples.append(add(multiples[-1], v))
-            out = [add(s, c) for c in multiples for s in out]
-        return out
-
-    def decoders(self) -> tuple[list[int], list[int]]:
-        """Two tables that turn a packed value into its code, for odd p: the
-        code of its low m lanes and of the others, each by the packed value of
-        those lanes.  Each has one entry per packed value up to the largest,
-        so the pair grows with the field; only the table engine builds them."""
-        return self._decoder(self.m), self._decoder(self.D - self.m)
-
-    def _decoder(self, lanes: int) -> list[int]:
-        """The code of the digits in the first ``lanes`` lanes, by packed value;
-        one entry per packed value up to the largest, all digits p - 1."""
-        packed = self.span([1 << self.w * k for k in range(lanes)])
-        return _scatter(packed, range(len(packed)))
-
-    def linear_map(self, images: list[int]) -> list[tuple[int, list[int]]]:
-        """The F_p-linear map that sends lane k's unit to images[k], as
-        (shift, table) pairs: one per group of g = max(1, 8 // w) lanes, from
-        bit ``shift`` up, its table indexed by the packed value of the group's
-        lanes, so it has at most max(2^8, 2^w) entries.  The map's value at a
-        is the lane-wise sum of table[a >> shift & group_mask] over the pairs."""
-        w, g = self.w, self.group
-        # the packed values of a group's lanes, by index; a shorter last group
-        # takes a prefix
-        keys = self.span([1 << w * i for i in range(min(g, self.D))])
-        return [(w * k, _scatter(keys, self.span(images[k:k + g]))) for k in range(0, self.D, g)]
-
-    def apply(self, pairs: list[tuple[int, list[int]]], a: int) -> int:
-        """The linear map with these linear_map tables at the packed a."""
-        mask, acc = self.group_mask, 0
-        if self.p == 2:
-            for shift, table in pairs:
-                acc ^= table[a >> shift & mask]
-            return acc
-        p, K, HI, top_bit = self.p, self.K, self.HI, self.w - 1
-        for shift, table in pairs:
-            acc += table[a >> shift & mask]
-            acc -= (((acc + K) & HI) >> top_bit) * p
-        return acc
-
-
-def _scatter(keys: list[int], values) -> list[int]:
-    """A list holding values[i] at keys[i], 0 elsewhere, up to the last key read."""
-    table = [0] * (keys[len(values) - 1] + 1)
-    for key, v in zip(keys, values):
-        table[key] = v
-    return table
-
-
 class _Predicates:
     """Streaming per-element predicate kit for one context, on packed ints.
 
-    Elements are packed (_Lanes) wherever the search reads them; only _inv
+    Elements are packed (_Lanes) wherever the searches read them; only _inv
     and order_is take coefficient tuples.  The map h(sigma) of a lattice
     divisor h is kept as _Lanes.linear_map tables, built from its matrix
     (modstruct.action_columns) the first time the descent or a stream asks
@@ -259,31 +136,33 @@ class _Predicates:
         return self.ctx.n - self.degrees[self.ord_divisor_index(a)]
 
     def exact_order(self, idx: int):
-        """Every element of ker h(sigma), h = divisors[idx], in increasing
-        code, as 2a + 1 for the packed a of F_q-order exactly h; a run of
-        elements also starts with 2a for its first a, whatever its order.
+        """The stream of ker h(sigma), h = divisors[idx], with the maps
+        (h/f_j)(sigma) for the prime factors f_j of h: 2a + 1 for the packed a
+        of F_q-order exactly h.  Its F_p basis y^j b, b in kernel_basis, is
+        top-echelon: each b is 1 at its top coordinate, where the others are 0.
+        """
+        return self.stream(self.lanes.fp_basis(kernel_basis(self.ctx, self.divisors[idx].coeffs)),
+                           [j for j in self.quot[idx] if j >= 0])
 
-        A kernel element's coordinate at the top of a kernel_basis vector is
-        its digit there, since the other vectors are 0 at that coordinate, and
-        two kernel elements first differ, reading from the top, at such a
-        coordinate; so the span of the F_p basis y^j b, by index, runs in code
-        order.  It is streamed as the sums of the spans of the two halves of
-        that basis, each run one element of the high half's span plus every
-        element of the low half's.  Each element is carried in one int
-        together with its images under (h/f_j)(sigma) for the prime factors
-        f_j of h, stacked below it, and has order exactly h when none of them
-        is zero.  The even values mark how far the stream has walked: merged
-        by value with other streams, no stream walks more than one run past
-        the least element taken so far.
+    def stream(self, basis: list[int], maps: list[int]):
+        """The F_p span of the packed basis, by index, as 2a + 1 for each a
+        that no divisors[j](sigma), j in maps, sends to zero; each run also
+        starts with 2a for its first a, whatever its images.
+
+        Each run is one element of the high half's span (_Lanes.halves) plus
+        every element of the low half's, each carried in one int with its
+        images under the maps stacked below it.  Two elements of a
+        top-echelon span first differ, reading from the top, at a top
+        coordinate, where their digits are their indices' digits: the span
+        runs in code order.  The even values then mark how far the stream has
+        walked, so merged by value with other streams, no stream walks more
+        than one run past the least element taken so far.
         """
         ctx, lanes = self.ctx, self.lanes
-        maps = [j for j in self.quot[idx] if j >= 0]
         W, S = lanes.width, len(maps) * lanes.width
-        vectors = [sum((self.image(j, u) << i * W for i, j in enumerate(maps)), u << S)
-                   for u in lanes.fp_basis(kernel_basis(ctx, self.divisors[idx].coeffs))]
+        vectors = [sum((self.image(j, u) << i * W for i, j in enumerate(maps)), u << S) for u in basis]
         stacked = _Lanes(ctx, len(maps) + 1)
-        half = len(vectors) // 2
-        lows, highs = stacked.span(vectors[:half]), stacked.span(vectors[half:])
+        lows, highs = stacked.halves(vectors)
         # a W-bit image x is nonzero exactly when bit W - 1 of
         # ((x & LOW) + LOW) | x is set, LOW being its W - 1 low bits
         LOW = sum(((1 << W - 1) - 1) << i * W for i in range(len(maps)))
@@ -304,6 +183,13 @@ class _Predicates:
                 v -= (((v + K) & HI) >> top_bit) * p
                 if ((v & LOW) + LOW | v) & TOP == TOP:
                     yield v >> S << 1 | 1
+
+    def pair_test(self, a: int, r: int, k: int) -> bool:
+        """Whether the inverse of the packed, nonzero a is k-normal, by descent,
+        and a has order (q^n - 1)/r."""
+        lanes = self.lanes
+        coeffs = lanes.unpack(a)
+        return self.knorm(lanes.pack(self.ctx._inv(coeffs))) == k and self.order_is(coeffs, r)
 
     def order_is(self, coeffs: tuple, r: int) -> bool:
         """ord = (q^n - 1)/r, via one confirmation power and per-prime rejections."""
@@ -343,8 +229,8 @@ class _ScanTables:
         # at the others, each looked up by the code of those lanes
         pc = find_primitive(ctx).coeffs
         images = lanes.fp_basis([ctx._mul(tuple(int(i == j) for i in range(ctx.n)), pc) for j in range(ctx.n)])
-        m, mask, shift, split = lanes.m, lanes.mask, lanes.shift, lanes.split
-        low, high = lanes.span(images[:m]), lanes.span(images[m:])
+        mask, shift, split = lanes.mask, lanes.shift, lanes.split
+        low, high = lanes.halves(images)
         ords = [0] * N
         log_codes = [-1] * ctx.order
         if lanes.p == 2:
@@ -386,9 +272,7 @@ class _ScanTables:
         p, K, HI, top_bit = lanes.p, lanes.K, lanes.HI, lanes.w - 1
         mask, shift, split = lanes.mask, lanes.shift, lanes.split
         for idx in range(self.top - 1, -1, -1):
-            basis = lanes.fp_basis(kernel_basis(ctx, self.divisors[idx].coeffs))
-            half = len(basis) // 2
-            lows, highs = lanes.span(basis[:half]), lanes.span(basis[half:])
+            lows, highs = lanes.halves(lanes.fp_basis(kernel_basis(ctx, self.divisors[idx].coeffs)))
             if p == 2:
                 for h in highs:
                     for v in lows:
@@ -427,8 +311,6 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
     if not 0 <= k <= ctx.n:
         raise ValueError(f"k = {k} is not in [0, n] = [0, {ctx.n}]")
     preds = ctx.memo(_Predicates)
-    lanes = preds.lanes
-    t0 = time.perf_counter()
     # the k-normal elements are those of F_q-order of degree n - k; the zero
     # element, of order 1, is not among them
     streams = [preds.exact_order(idx) for idx, d in enumerate(preds.degrees)
@@ -439,26 +321,18 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
 
     hit = None
     for v in merge(*streams):
-        if not v & 1:  # a stream's mark of how far it has walked
-            continue
-        alpha = v >> 1
-        # a conjugate alpha^(q^i) has the same F_q-order and order as alpha,
-        # and so has its inverse; the least conjugate came first and failed
-        if not preds.conjugate_first(alpha):
-            continue
-        coeffs = lanes.unpack(alpha)
-        if preds.knorm(lanes.pack(ctx._inv(coeffs))) != k:
-            continue
-        if preds.order_is(coeffs, r):
-            hit = lanes.code(alpha)
+        # an even v is a stream's mark of how far it has walked; a conjugate
+        # alpha^(q^i) has the same F_q-order and order as alpha, and so has
+        # its inverse, so only the least conjugate, the first to come, is tested
+        if v & 1 and preds.conjugate_first(v >> 1) and preds.pair_test(v >> 1, r, k):
+            hit = preds.lanes.code(v >> 1)
             break
-    elapsed = time.perf_counter() - t0
     if hit is None:
-        return SearchOutcome(False, None, ctx.N, elapsed)
+        return SearchOutcome(False, None, ctx.N)
     witness = ctx.from_code(hit)
     if not pair_verified(witness, r, k):
         raise AssertionError("witness failed independent re-verification")
-    return SearchOutcome(True, witness, hit, elapsed)
+    return SearchOutcome(True, witness, hit)
 
 
 def pair_verified(alpha: FieldElement, r: int, k: int) -> bool:
@@ -478,8 +352,7 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
 
     Accepts the first beta whose alpha is nonzero with
     deg gcd(m_alpha, x^n - 1) = deg gcd(m_{alpha^-1}, x^n - 1) = 1 and
-    ord(alpha) = q^n - 1 (the gcd degree is evaluated as 1-normality of the
-    element, which is the same quantity).
+    ord(alpha) = q^n - 1.
 
     beta + c gives the same alpha for every c in F_q, and of these beta - beta_0
     has the least code, so only the beta with beta_0 = 0 are walked: every
@@ -489,36 +362,33 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
     _ceiling_check(ctx, ceiling_bits)
     preds = ctx.memo(_Predicates)
     lanes = preds.lanes
-    t0 = time.perf_counter()
-    # the beta with beta_0 = 0, from the F_p basis y^j x^i with i >= 1, each
-    # stacked over its image under sigma - 1; by index, in code order of beta
+    # alpha = (sigma - 1) beta lies in ker h*(sigma), h* = (x^n - 1)/(x - 1),
+    # and is 1-normal exactly when its F_q-order is h*: when
+    # (h*/f)(sigma) alpha = ((x^n - 1)/f)(sigma) beta is nonzero for every
+    # prime f of h*, the factors of x^n - 1 but x - 1 of exponent 1
+    x_minus_1 = PolyQ.xn_minus_1(ctx.fq, 1)
+    maps = [j for j, f_e in zip(preds.quot[preds.top], preds.factors) if f_e != (x_minus_1, 1)]
+    sub_one = preds.divisors.index(x_minus_1)
+    # the beta with beta_0 = 0 have the top-echelon F_p basis y^j x^i, i >= 1.
+    # beta^(q^i) less its constant term is walked too and gives alpha^(q^i),
+    # of the same verdict; beta, of code a multiple of q, is the least of
+    # these exactly when it is the least of its conjugates
     units = [tuple(int(i == j) for i in range(ctx.n)) for j in range(1, ctx.n)]
-    W = lanes.width
-    vectors = [b << W | a for b, a in zip(lanes.fp_basis(units),
-                                          lanes.fp_basis([ctx._sub(ctx._frob(u), u) for u in units]))]
-    stacked = _Lanes(ctx, 2)
-    half = len(vectors) // 2
-    lows, highs = stacked.span(vectors[:half]), stacked.span(vectors[half:])
-    add, low_mask = stacked.add, (1 << W) - 1
     hit = None
-    for v in (add(lv, hv) for hv in highs for lv in lows):
-        alpha = v & low_mask
-        if not alpha or preds.knorm(alpha) != 1:
-            continue
-        coeffs = lanes.unpack(alpha)
-        if preds.knorm(lanes.pack(ctx._inv(coeffs))) != 1:
-            continue
-        if preds.order_is(coeffs, 1):
-            hit = lanes.code(v >> W)
-            break
-    elapsed = time.perf_counter() - t0
+    for v in preds.stream(lanes.fp_basis(units), maps):
+        if v & 1 and preds.conjugate_first(v >> 1):
+            alpha = preds.image(sub_one, v >> 1)
+            # alpha = 0 is flagged only for n = 1, where h* = 1
+            if alpha and preds.pair_test(alpha, 1, 1):
+                hit = lanes.code(v >> 1)
+                break
     if hit is None:
-        return SearchOutcome(False, None, ctx.order, elapsed)
+        return SearchOutcome(False, None, ctx.order)
     beta = ctx.from_code(hit)
     alpha = beta.frob() - beta
     if not pair_verified(alpha, 1, 1):
         raise AssertionError("witness failed independent re-verification")
-    return SearchOutcome(True, alpha, hit + 1, elapsed)
+    return SearchOutcome(True, alpha, hit + 1)
 
 
 # -- exact counting ---------------------------------------------------------------

@@ -177,7 +177,9 @@ def test_packed_descent_against_fq_order():
     # every element of every field of at most 512 elements, and of F_9^3 and
     # F_27^2 (t > 1, odd p, p | n): the packed descent's order is fq_order's,
     # which walks the Frobenius orbit and shares no code with the lane tables,
-    # and the packed conjugates agree with FieldElement.frob
+    # and the packed conjugates agree with FieldElement.frob.  An a with
+    # a_0 = 0 is the least of its conjugates exactly when it is the least of
+    # them with their constant term cleared; direct_search's skip rests on it
     for q, n in field_grid(512) + [(9, 3), (27, 2)]:
         ctx = field_for(q, n)
         preds = _Predicates(ctx)
@@ -188,6 +190,9 @@ def test_packed_descent_against_fq_order():
             assert preds.divisors[preds.ord_divisor_index(packed)] == fq_order(a), (q, n, a.code())
             least = min(a.frob(i).code() for i in range(n))
             assert preds.conjugate_first(packed) == (a.code() == least), (q, n, a.code())
+            if a.coeffs[0] == 0:
+                least = min(a.frob(i).code() // q * q for i in range(n))
+                assert preds.conjugate_first(packed) == (a.code() == least), (q, n, a.code())
 
 
 def test_search_pair_late_hit_stops_every_stream(monkeypatch):
@@ -209,6 +214,36 @@ def test_search_pair_late_hit_stops_every_stream(monkeypatch):
     assert out.found and out.witness.code() == out.scanned == 37450
     assert len(marks) == 7
     assert all(sum(code > 37450 for code in codes) <= 1 for codes in marks.values())
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 6), (3, 3), (4, 5), (9, 2), (7, 1)])
+def test_direct_search_stream_flags_one_normal_alpha(monkeypatch, q, n):
+    # direct_search's stream flags beta exactly when alpha = beta^q - beta has
+    # F_q-order (x^n - 1)/(x - 1), checked by fq_order over every beta the
+    # stream walked; x - 1 is repeated in x^n - 1 for F_2^4, F_2^6 and F_3^3,
+    # and F_4^5 has no pair, so its stream runs to the end
+    import knpair.search as search
+
+    real, seen = search._Predicates.stream, []
+
+    def recorded(self, basis, maps):
+        for v in real(self, basis, maps):
+            seen.append(v)
+            yield v
+
+    monkeypatch.setattr(search._Predicates, "stream", recorded)
+    out = direct_search(q, n)
+    ctx = field_for(q, n)
+    lanes = _Predicates(ctx).lanes
+    last = lanes.code(seen[-1] >> 1)
+    assert out.found or last == ctx.order - q
+    h_star = xn1(ctx) // PolyQ.xn_minus_1(ctx.fq, 1)
+    want = set()
+    for code in range(0, last + 1, q):  # the beta with beta_0 = 0
+        beta = ctx.from_code(code)
+        if fq_order(beta.frob() - beta) == h_star:
+            want.add(code)
+    assert {lanes.code(v >> 1) for v in seen if v & 1} == want
 
 
 def test_predicates_build_no_field_sized_table():
