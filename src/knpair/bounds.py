@@ -304,6 +304,8 @@ def lemma54_eval(q: int, n: int, d: int, n0: int, theta: int) -> SieveReport:
     lower bound D >= 1 - S_l - (2n-1)/q and S <= (l + 2n - 2)/D + 2;
     the verdict evaluates q^(n/2 - theta) > 2 W(d) S.
     """
+    if q < 2 or n < 1:
+        raise ValueError(f"lemma54_eval needs q >= 2 and n >= 1, not q = {q}, n = {n}")
     if n0 < 1:
         raise ValueError(f"n0 = {n0} must be at least 1")
     budget_num = q**n - 1

@@ -10,13 +10,20 @@ omitted; ``#`` starts a comment).  Every line is verified when the file is
 read, so a wrong hint is an error even if the command never factors its
 value.  Hints last for one invocation and serve every factorization it
 makes, and ``hints_applied`` counts the hints used.
+
+Commands.  Each subcommand is defined once, by its arguments and the handler
+beside them, which returns (result, field context or None, holds).  ``main``
+alone builds the report and exits 0 when the command holds, 3 otherwise.  A
+report's "inputs" are the command's own parsed arguments, without the global
+flags and without the ones left unset.  Usage errors (exit 2) include
+factor-poly without exactly one of --xn1 / --poly, knormal without exactly
+one of --elem / --census, and lemma54 with q < 2, n < 1 or n0 < 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -27,6 +34,7 @@ from math import gcd as int_gcd
 from . import __version__, bounds, search
 from .errors import KnpairError
 from .ffield import (
+    FieldElement,
     field_for,
     format_element,
     mult_order,
@@ -49,6 +57,8 @@ TABLE3_HOLD = ((7, 14), (5, 15))
 TABLE6_FALSE = (((2, 5), 2), ((5, 6), 2))
 TABLE6_TRUE = (((167, 6), 2), ((193, 6), 2))
 THM11_SPOTS = ((3, 4, False), (7, 5, False), (5, 4, True), (11, 5, True))
+REPRODUCE_TARGETS = ("spnbt-exceptions", "t13-exception", "conjecture-exceptions",
+                     "table3-spot", "table6-spot", "thm11-spot")
 
 
 def load_hints(path: str) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -88,40 +98,28 @@ def parse_d_expr(expr: str, q: int, n: int) -> int:
 
 # -- serialization ----------------------------------------------------------------
 
+# the fields of each result record that a report shows
+_RECORD_FIELDS = {
+    bounds.BoundVerdict: ("lhs", "rhs", "holds", "theta", "inputs"),
+    bounds.SieveReport: ("h", "d", "H", "l1_primes", "l2_polys", "l3_polys", "D", "S",
+                         "nonpositive_D", "verdict"),
+    search.SearchOutcome: ("found", "witness", "scanned"),
+}
+
+
 def _plain(value):
     if isinstance(value, PolyQ):
         return format_poly(value)
+    if isinstance(value, FieldElement):
+        return format_element(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
-    if isinstance(value, bounds.BoundVerdict):
-        return {
-            "lhs": _plain(value.lhs),
-            "rhs": _plain(value.rhs),
-            "holds": value.holds,
-            "theta": value.theta,
-            "inputs": {k: _plain(v) for k, v in value.inputs},
-        }
-    if isinstance(value, bounds.SieveReport):
-        return {
-            "h": _plain(value.h),
-            "d": value.d,
-            "H": _plain(value.H),
-            "l1_primes": list(value.l1_primes),
-            "l2_polys": [_plain(f) for f in value.l2_polys],
-            "l3_polys": [_plain(f) for f in value.l3_polys],
-            "D": _plain(value.D),
-            "S": _plain(value.S),
-            "nonpositive_D": value.nonpositive_D,
-            "verdict": _plain(value.verdict),
-        }
-    if isinstance(value, search.SearchOutcome):
-        return {
-            "found": value.found,
-            "witness": format_element(value.witness) if value.witness is not None else None,
-            "scanned": value.scanned,
-        }
-    if isinstance(value, float):
-        return value
+    fields = _RECORD_FIELDS.get(type(value))
+    if fields is not None:
+        plain = {name: getattr(value, name) for name in fields}
+        if "inputs" in plain:  # a verdict's inputs are (name, value) pairs
+            plain["inputs"] = dict(plain["inputs"])
+        return _plain(plain)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -129,16 +127,15 @@ def _plain(value):
     return value
 
 
+def _field(ctx) -> dict:
+    return {"p": ctx.p, "t": ctx.t, "n": ctx.n}
+
+
 def _provenance(ctx=None) -> dict:
     prov = {"tool": "knpair", "version": __version__, "schema": SCHEMA_VERSION}
     if ctx is not None:
-        prov["field"] = {
-            "p": ctx.p,
-            "t": ctx.t,
-            "n": ctx.n,
-            "base_modulus": list(ctx.base_modulus),
-            "ext_modulus": list(ctx.ext_modulus),
-        }
+        prov["field"] = {**_field(ctx), "base_modulus": list(ctx.base_modulus),
+                         "ext_modulus": list(ctx.ext_modulus)}
     return prov
 
 
@@ -158,24 +155,26 @@ def emit(report: dict, fmt: str, stream=None) -> None:
         json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
         return
-    rows = report["result"].get("rows") if isinstance(report["result"], dict) else None
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    result, writer = report["result"], csv.writer(stream)
+    rows = result.get("rows")
     if rows:
         header = sorted({k for row in rows for k in row})
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in header])
+        writer.writerows([row.get(k, "") for k in header] for row in rows)
     else:
         writer.writerow(["key", "value"])
-        for k in sorted(report["result"]) if isinstance(report["result"], dict) else []:
-            writer.writerow([k, json.dumps(report["result"][k], sort_keys=True)])
-    stream.write(buf.getvalue())
+        writer.writerows([k, json.dumps(result[k], sort_keys=True)] for k in sorted(result))
+
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
 
 
 def verify_report(report: dict) -> bool:
-    """Re-check every witness a parsed report carries with search.pair_verified;
-    a row that claims found without a witness fails.
+    """Re-check every witness a parsed report carries with search.pair_verified.
+    A row that claims found without a witness fails, and so does a report this
+    cannot read: a report, result or row that is no dict, or a q, n, r, k or
+    field coordinate that is missing where it is read or is no int.
 
     A search_pair row that reports not-found in a field of at most
     search.TABLE_CEILING elements must agree with the table engine: k is no
@@ -183,27 +182,34 @@ def verify_report(report: dict) -> bool:
     re-checked that way: they sweep only alpha = beta^q - beta, so their
     not-found rules out no pair.
     """
-    prov = report.get("provenance", {})
-    field = prov.get("field")
-    result = report.get("result", {})
+    if not isinstance(report, dict):
+        return False
+    prov, result, inputs = report.get("provenance"), report.get("result"), report.get("inputs", {})
+    field = prov.get("field") if isinstance(prov, dict) else None
     # a table's rows carry their q, n, r and k; a single search keeps them in its inputs
-    inputs = report.get("inputs", {})
-    for row in result.get("rows", [result]):
-        r, k = (int(row.get(x, inputs.get(x, 1))) for x in ("r", "k"))
+    rows = result.get("rows", [result]) if isinstance(result, dict) else None
+    if not isinstance(inputs, dict) or not isinstance(rows, list):
+        return False
+    for row in rows:
+        if not isinstance(row, dict):
+            return False
+        r, k = (row.get(x, inputs.get(x, 1)) for x in ("r", "k"))
+        if not _ints(r, k):
+            return False
         wit = row.get("witness")
         if not wit:
             if row.get("found"):
                 return False
             if row.get("found") is False and row.get("algorithm", report.get("command")) != "direct-search":
-                q, n = (int(row.get(x, inputs.get(x, 0))) for x in ("q", "n"))
-                if not _table_confirms_not_found(q, n, r, k):
+                q, n = (row.get(x, inputs.get(x)) for x in ("q", "n"))
+                if not _ints(q, n) or not _table_confirms_not_found(q, n, r, k):
                     return False
             continue
         fspec = row.get("field", field)
-        ctx = parse_field_spec(f"{fspec['p']}^{fspec['t']}:{fspec['n']}") if isinstance(fspec, dict) else None
-        if ctx is None:
+        coords = [fspec.get(x) for x in ("p", "t", "n")] if isinstance(fspec, dict) else [None]
+        if not isinstance(wit, str) or not _ints(*coords):
             return False
-        alpha = parse_element(ctx, wit)
+        alpha = parse_element(parse_field_spec("{}^{}:{}".format(*coords)), wit)
         if not search.pair_verified(alpha, r, k):
             return False
     return True
@@ -220,228 +226,192 @@ def _table_confirms_not_found(q: int, n: int, r: int, k: int) -> bool:
 
 # -- reproduce targets -------------------------------------------------------------
 
+def _row(q: int, n: int, expected: bool, got: bool, key: str = "found", **fields) -> dict:
+    """One reproduce row: (q, n), the expected and the computed outcome under
+    key, whether they match, and the row's other fields."""
+    return {"q": q, "n": n, "expected_" + key: expected, key: got, "match": got == expected, **fields}
+
+
 def _pair_row(q: int, n: int, r: int, k: int, expected: bool, ceiling: int) -> dict:
     out = search.search_pair(q, n, r, k, ceiling_bits=ceiling)
-    ctx = field_for(q, n)
-    return {
-        "q": q,
-        "n": n,
-        "r": r,
-        "k": k,
-        "expected_found": expected,
-        "found": out.found,
-        "match": out.found == expected,
-        "witness": format_element(out.witness) if out.witness else "",
-        "scanned": out.scanned,
-        "field": {"p": ctx.p, "t": ctx.t, "n": ctx.n},
-    }
+    return _row(q, n, expected, out.found, r=r, k=k, witness=out.witness or "", scanned=out.scanned,
+                field=_field(field_for(q, n)))
 
 
 def run_reproduce(target: str, ceiling: int) -> dict:
     rows: list[dict] = []
     if target == "spnbt-exceptions":
-        for q, n in SPNBT_EXCEPTIONS:
-            rows.append(_pair_row(q, n, 1, 0, False, ceiling))
-        for q, n in SPNBT_CONTROLS:
-            rows.append(_pair_row(q, n, 1, 0, True, ceiling))
+        rows = [_pair_row(q, n, 1, 0, (q, n) in SPNBT_CONTROLS, ceiling)
+                for q, n in SPNBT_EXCEPTIONS + SPNBT_CONTROLS]
     elif target == "t13-exception":
         rows.append(_pair_row(4, 5, 1, 1, False, ceiling))
-        out = search.direct_search(4, 5, ceiling_bits=ceiling)
-        rows.append({"q": 4, "n": 5, "algorithm": "direct-search", "expected_found": False,
-                     "found": out.found, "match": out.found is False, "witness": "", "scanned": out.scanned})
-        for q, n in T13_DIRECT_FOUND:
+        for (q, n), expected in [((4, 5), False)] + [(qn, True) for qn in T13_DIRECT_FOUND]:
             out = search.direct_search(q, n, ceiling_bits=ceiling)
-            ctx = field_for(q, n)
-            rows.append({"q": q, "n": n, "algorithm": "direct-search", "expected_found": True,
-                         "found": out.found, "match": out.found is True,
-                         "witness": format_element(out.witness) if out.witness else "",
-                         "r": 1, "k": 1, "scanned": out.scanned,
-                         "field": {"p": ctx.p, "t": ctx.t, "n": ctx.n}})
+            # a direct-search row names r = k = 1 and its field only beside a witness
+            checked = {"r": 1, "k": 1, "field": _field(field_for(q, n))} if out.witness else {}
+            rows.append(_row(q, n, expected, out.found, algorithm="direct-search", witness=out.witness or "",
+                             scanned=out.scanned, **checked))
     elif target == "conjecture-exceptions":
-        for q in CONJECTURE_NOT_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, False, ceiling))
-        for q in CONJECTURE_FOUND:
-            rows.append(_pair_row(q, 6, 1, 1, True, ceiling))
+        rows = [_pair_row(q, 6, 1, 1, q in CONJECTURE_FOUND, ceiling)
+                for q in CONJECTURE_NOT_FOUND + CONJECTURE_FOUND]
     elif target == "table3-spot":
         for q, n in TABLE3_FAIL + TABLE3_HOLD:
             verdict = bounds.basic_inequality(q, n, 1, 1, theta_mult=3)
-            expected = (q, n) in TABLE3_HOLD
-            rows.append({"q": q, "n": n, "expected_holds": expected, "holds": verdict.holds,
-                         "match": verdict.holds == expected,
-                         "lhs": _plain(verdict.lhs), "rhs": _plain(verdict.rhs)})
+            rows.append(_row(q, n, (q, n) in TABLE3_HOLD, verdict.holds, "holds",
+                             lhs=verdict.lhs, rhs=verdict.rhs))
     elif target == "table6-spot":
         for (q, n), theta in TABLE6_FALSE + TABLE6_TRUE:
             out = bounds.test_sieve(q, n, theta)
-            expected = ((q, n), theta) in TABLE6_TRUE
-            rows.append({"q": q, "n": n, "theta": theta, "expected_holds": expected,
-                         "holds": out.found, "match": out.found == expected,
-                         "pairs_tried": out.pairs_tried})
+            rows.append(_row(q, n, ((q, n), theta) in TABLE6_TRUE, out.found, "holds",
+                             theta=theta, pairs_tried=out.pairs_tried))
     elif target == "thm11-spot":
-        for q, n, expected in THM11_SPOTS:
-            rows.append(_pair_row(q, n, 2, 2, expected, ceiling))
+        rows = [_pair_row(q, n, 2, 2, expected, ceiling) for q, n, expected in THM11_SPOTS]
     else:
         raise ValueError(f"unknown reproduce target {target!r}")
     return {"rows": rows, "ok": all(row["match"] for row in rows)}
 
 
-# -- argument plumbing --------------------------------------------------------------
+# -- commands -----------------------------------------------------------------------
+
+_COMMANDS: list = []  # (name, add_parser options, arguments, handler), in help order
+
+
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+def _command(name: str, *arguments: tuple, **parser_options):
+    """Define subcommand name by its arguments (_arg pairs) and the handler
+    this decorates, which returns (result, field context or None, holds)."""
+    def define(handler):
+        _COMMANDS.append((name, parser_options, arguments, handler))
+        return handler
+    return define
+
+
+_FIELD = _arg("--field", required=True)
+_ELEM = _arg("--elem", required=True)
+_Q = _arg("--q", type=int, required=True)
+_N = _arg("--n", type=int, required=True)
+_R = _arg("--r", type=int, default=1)
+_K = _arg("--k", type=int, default=1)
+
+
+@_command("factor-int", _arg("N", type=int), help="certified factorization of N")
+def _factor_int(args):
+    fact = factor_int(args.N)
+    return {"value": fact.value, "factors": [[p, e] for p, e in fact.factors]}, None, True
+
+
+@_command("factor-poly", _FIELD, _arg("--xn1", action="store_true", help="factor x^n - 1"),
+          _arg("--poly", help="coefficients, constant first"), help="factor a polynomial over F_q")
+def _factor_poly(args):
+    ctx = parse_field_spec(args.field)
+    if args.xn1 == (args.poly is not None):
+        raise ValueError("factor-poly needs exactly one of --xn1 / --poly")
+    poly = xn1(ctx) if args.xn1 else parse_poly(ctx.fq, args.poly)
+    fact = factor_poly(poly)
+    return {"poly": poly, "unit": fact.unit, "factors": [[f, e] for f, e in fact.factors]}, ctx, True
+
+
+@_command("order", _FIELD, _ELEM)
+def _order(args):
+    a = parse_element(parse_field_spec(args.field), args.elem)
+    return {"order": mult_order(a)}, a.ctx, True
+
+
+@_command("fq-order", _FIELD, _ELEM)
+def _fq_order(args):
+    a = parse_element(parse_field_spec(args.field), args.elem)
+    return {"fq_order": fq_order(a)}, a.ctx, True
+
+
+@_command("knormal", _FIELD, _arg("--elem"), _arg("--census", type=int, metavar="K"))
+def _knormal(args):
+    ctx = parse_field_spec(args.field)
+    if (args.elem is None) == (args.census is None):
+        raise ValueError("knormal needs exactly one of --elem / --census")
+    if args.elem is not None:
+        return {"k": k_normality(parse_element(ctx, args.elem))}, ctx, True
+    return {"k": args.census, "count": search.census(ctx.q, ctx.n, "knormal", args.census)}, ctx, True
+
+
+@_command("bound", _Q, _N, _R, _K, _arg("--form", choices=("eq9", "eq10"), default="eq10"),
+          _arg("--theta", choices=("auto", "2", "3"), default="auto"))
+def _bound(args):
+    form = "eq9_exact" if args.form == "eq9" else "eq10_simplified"
+    theta_mult = None if args.theta == "auto" else int(args.theta)
+    verdict = bounds.basic_inequality(args.q, args.n, args.r, args.k, form=form, theta_mult=theta_mult)
+    return {"verdict": verdict, "holds": verdict.holds}, None, verdict.holds
+
+
+@_command("sieve", _Q, _N, _arg("--theta", type=int, required=True, choices=(2, 3)))
+def _sieve(args):
+    out = bounds.test_sieve(args.q, args.n, args.theta)
+    return {"holds": out.found, "pairs_tried": out.pairs_tried, "report": out.report}, None, out.found
+
+
+@_command("lemma54", _Q, _N, _arg("--d-expr", required=True), _arg("--n0", type=int, required=True),
+          _arg("--theta", type=int, default=2, choices=(2, 3)))
+def _lemma54(args):
+    d = parse_d_expr(args.d_expr, args.q, args.n)
+    rep = bounds.lemma54_eval(args.q, args.n, d, args.n0, args.theta)
+    return {"holds": rep.verdict.holds, "report": rep, "d": d}, None, rep.verdict.holds
+
+
+@_command("direct-search", _Q, _N)
+def _direct_search(args):
+    out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling)
+    return out, field_for(args.q, args.n), out.found
+
+
+@_command("search-pair", _Q, _N, _R, _K)
+def _search_pair(args):
+    out = search.search_pair(args.q, args.n, args.r, args.k, ceiling_bits=args.ceiling)
+    return out, field_for(args.q, args.n), out.found
+
+
+@_command("reproduce", _arg("--target", required=True, choices=REPRODUCE_TARGETS))
+def _reproduce(args):
+    result = run_reproduce(args.target, args.ceiling)
+    return result, None, result["ok"]
+
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="knpair", description=__doc__)
+    # knpair --help shows the module docstring up to its notes on commands
+    top = argparse.ArgumentParser(prog="knpair", description=__doc__.partition("\nCommands.")[0])
     top.add_argument("--hints", metavar="FILE", help="factorization hints file")
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--ceiling", type=int, default=search.ENUM_CEILING_BITS_DEFAULT,
                      metavar="BITS", help="enumeration ceiling, log2 of field size")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor-int", help="certified factorization of N")
-    p.add_argument("N", type=int)
-
-    p = sub.add_parser("factor-poly", help="factor a polynomial over F_q")
-    p.add_argument("--field", required=True)
-    p.add_argument("--xn1", action="store_true", help="factor x^n - 1")
-    p.add_argument("--poly", help="coefficients, constant first")
-
-    for name in ("order", "fq-order"):
-        p = sub.add_parser(name)
-        p.add_argument("--field", required=True)
-        p.add_argument("--elem", required=True)
-
-    p = sub.add_parser("knormal")
-    p.add_argument("--field", required=True)
-    p.add_argument("--elem")
-    p.add_argument("--census", type=int, metavar="K")
-
-    p = sub.add_parser("bound")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--form", choices=("eq9", "eq10"), default="eq10")
-    p.add_argument("--theta", choices=("auto", "2", "3"), default="auto")
-
-    p = sub.add_parser("sieve")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=int, required=True, choices=(2, 3))
-
-    p = sub.add_parser("lemma54")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d-expr", required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--theta", type=int, default=2, choices=(2, 3))
-
-    p = sub.add_parser("direct-search")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("search-pair")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-
-    p = sub.add_parser("reproduce")
-    p.add_argument("--target", required=True,
-                   choices=("spnbt-exceptions", "t13-exception", "conjecture-exceptions",
-                            "table3-spot", "table6-spot", "thm11-spot"))
+    for name, parser_options, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, **parser_options)
+        own = [p.add_argument(*flags, **options).dest for flags, options in arguments]
+        p.set_defaults(handler=handler, own=own)
     return top
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    cmd = args.command
-    if cmd == "factor-int":
-        fact = factor_int(args.N)
-        result = {"value": fact.value, "factors": [[p, e] for p, e in fact.factors]}
-        return make_report(cmd, {"N": args.N}, result, t0), 0
-    if cmd == "factor-poly":
-        ctx = parse_field_spec(args.field)
-        poly = xn1(ctx) if args.xn1 else parse_poly(ctx.fq, args.poly)
-        fact = factor_poly(poly)
-        result = {
-            "poly": format_poly(poly),
-            "unit": fact.unit,
-            "factors": [[format_poly(f), e] for f, e in fact.factors],
-        }
-        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx), 0
-    if cmd == "order":
-        ctx = parse_field_spec(args.field)
-        a = parse_element(ctx, args.elem)
-        result = {"order": mult_order(a)}
-        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx), 0
-    if cmd == "fq-order":
-        ctx = parse_field_spec(args.field)
-        a = parse_element(ctx, args.elem)
-        result = {"fq_order": format_poly(fq_order(a))}
-        return make_report(cmd, {"field": args.field, "elem": args.elem}, result, t0, ctx=ctx), 0
-    if cmd == "knormal":
-        ctx = parse_field_spec(args.field)
-        if (args.elem is None) == (args.census is None):
-            raise ValueError("knormal needs exactly one of --elem / --census")
-        if args.elem is not None:
-            a = parse_element(ctx, args.elem)
-            result = {"k": k_normality(a)}
-        else:
-            result = {"k": args.census,
-                      "count": search.census(ctx.q, ctx.n, "knormal", args.census)}
-        return make_report(cmd, {"field": args.field}, result, t0, ctx=ctx), 0
-    if cmd == "bound":
-        form = "eq9_exact" if args.form == "eq9" else "eq10_simplified"
-        theta_mult = None if args.theta == "auto" else int(args.theta)
-        verdict = bounds.basic_inequality(args.q, args.n, args.r, args.k, form=form, theta_mult=theta_mult)
-        code = 0 if verdict.holds else 3
-        return make_report(cmd, {"q": args.q, "n": args.n, "r": args.r, "k": args.k, "form": args.form},
-                           {"verdict": verdict, "holds": verdict.holds}, t0), code
-    if cmd == "sieve":
-        out = bounds.test_sieve(args.q, args.n, args.theta)
-        result = {"holds": out.found, "pairs_tried": out.pairs_tried, "report": out.report}
-        code = 0 if out.found else 3
-        return make_report(cmd, {"q": args.q, "n": args.n, "theta": args.theta}, result, t0), code
-    if cmd == "lemma54":
-        d = parse_d_expr(args.d_expr, args.q, args.n)
-        rep = bounds.lemma54_eval(args.q, args.n, d, args.n0, args.theta)
-        result = {"holds": rep.verdict.holds, "report": rep, "d": d}
-        code = 0 if rep.verdict.holds else 3
-        return make_report(cmd, {"q": args.q, "n": args.n, "d_expr": args.d_expr, "n0": args.n0,
-                                 "theta": args.theta}, result, t0), code
-    if cmd == "direct-search":
-        out = search.direct_search(args.q, args.n, ceiling_bits=args.ceiling)
-        ctx = field_for(args.q, args.n)
-        code = 0 if out.found else 3
-        return make_report(cmd, {"q": args.q, "n": args.n}, out, t0, ctx=ctx), code
-    if cmd == "search-pair":
-        out = search.search_pair(args.q, args.n, args.r, args.k, ceiling_bits=args.ceiling)
-        ctx = field_for(args.q, args.n)
-        code = 0 if out.found else 3
-        return make_report(cmd, {"q": args.q, "n": args.n, "r": args.r, "k": args.k}, out, t0,
-                           ctx=ctx), code
-    if cmd == "reproduce":
-        result = run_reproduce(args.target, args.ceiling)
-        code = 0 if result["ok"] else 3
-        return make_report(cmd, {"target": args.target}, result, t0), code
-    raise ValueError(f"unknown command {cmd!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
         with factor_hints(load_hints(args.hints) if args.hints else {}) as used:
-            report, code = _dispatch(args)
+            t0 = time.perf_counter()
+            result, ctx, holds = args.handler(args)
     except KnpairError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True), file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    inputs = {dest: getattr(args, dest) for dest in args.own if getattr(args, dest) is not None}
+    report = make_report(args.command, inputs, result, t0, ctx=ctx)
     report["provenance"]["hints_applied"] = len(used)
     emit(report, args.format)
-    return code
+    return 0 if holds else 3
 
 
 if __name__ == "__main__":

@@ -103,6 +103,8 @@ class PolyQ:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "PolyQ":
+        if e < 0:
+            raise ValueError(f"PolyQ ** {e}: the exponent must be nonnegative")
         out = PolyQ.one(self.fq)
         base = self
         while e:

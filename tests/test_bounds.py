@@ -169,6 +169,14 @@ def test_lemma54_lower_bound_vs_exact_sieve():
     assert exact.D >= lower.D
 
 
+@pytest.mark.parametrize("q, n", [(0, 3), (1, 3), (-5, 3), (5, 0), (5, -1)])
+def test_lemma54_rejects_q_below_2_and_n_below_1(q, n):
+    # q = 0 divided by zero and q = -5 reached a complex power; q = 65, no
+    # prime power, still evaluates (test_lemma54_regime_65_7)
+    with pytest.raises(ValueError, match="q >= 2 and n >= 1"):
+        lemma54_eval(q, n, 1, 3, 2)
+
+
 def test_lemma54_n0_one_uses_all_primes():
     rep = lemma54_eval(9, 4, 1, 1, 2)
     assert rep.l1_primes[:4] == (2, 3, 5, 7)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,41 @@ from knpair import ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
 from knpair.fqpoly import PolyQ, factor_poly, format_poly
 from knpair.modstruct import xn1_factorization
+
+
+REPORTS = Path(__file__).with_name("cli_reports.json")
+# one cheap invocation of each command, a search and a reproduce as CSV, the
+# help and two errors; tests/cli_reports.json holds what each prints, its timing removed,
+# and its exit code (rewrite it with: PYTHONPATH=src python tests/test_cli.py)
+REPORT_ARGVS = [
+    ["factor-int", "1023"],
+    ["factor-poly", "--field", "2^1:3", "--xn1"],
+    ["factor-poly", "--field", "4:5", "--poly", "1,0,1"],
+    ["order", "--field", "2^1:3", "--elem", "0,1,0"],
+    ["fq-order", "--field", "2^1:3", "--elem", "1,0,0"],
+    ["knormal", "--field", "2^1:3", "--census", "1"],
+    ["knormal", "--field", "2^1:3", "--elem", "1,1,0"],
+    ["bound", "--q", "4", "--n", "14", "--theta", "3"],
+    ["sieve", "--q", "8", "--n", "14", "--theta", "3"],
+    ["lemma54", "--q", "65", "--n", "7", "--d-expr", "q-1", "--n0", "7"],
+    ["direct-search", "--q", "3", "--n", "5"],
+    ["search-pair", "--q", "2", "--n", "5"],
+    ["reproduce", "--target", "table3-spot"],
+    ["--format", "csv", "search-pair", "--q", "4", "--n", "5"],
+    ["--format", "csv", "reproduce", "--target", "table6-spot"],
+    ["--help"],
+    ["bound", "--help"],
+    ["order", "--field", "2^1:3", "--elem", "0,0,0"],  # exit 4, no report
+    ["frobnicate"],  # exit 2, no report
+]
+
+
+def run_stripped(argv):
+    """Exit code and stdout of one invocation, with the report's timing removed."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, re.sub(r',\n  "timing": \{\n    "seconds": [^\n]*\n  \}', "", buf.getvalue())
 
 
 def run_cli(*args):
@@ -291,6 +327,20 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["factor-poly", "--field", "4:5"], "exactly one of --xn1 / --poly"),
+    (["factor-poly", "--field", "4:5", "--xn1", "--poly", "1,1"], "exactly one of --xn1 / --poly"),
+    (["lemma54", "--q", "0", "--n", "3", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
+    (["lemma54", "--q", "-5", "--n", "3", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
+    (["lemma54", "--q", "5", "--n", "0", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
+])
+def test_usage_errors_exit_2_without_a_report(argv, message, capsys):
+    # these ended in a traceback (exit 1), or in factor-poly's case ignored --poly
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_reproduce_table3_spot():
     code, rep = run_cli("reproduce", "--target", "table3-spot")
     assert code == 0 and rep["result"]["ok"]
@@ -353,3 +403,48 @@ def test_verify_report_rejects_table_row_found_without_witness():
     assert not row["found"] and not row["witness"]
     row["found"] = True
     assert not verify_report(rep)
+
+
+def _rows(rep):
+    return rep["result"]["rows"]
+
+
+SEARCH = ("search-pair", "--q", "4", "--n", "5")  # not found
+FOUND = ("search-pair", "--q", "2", "--n", "5")
+SPNBT = ("reproduce", "--target", "spnbt-exceptions")  # row 0 not found, row -1 found
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    # these three raised instead of returning False
+    (SEARCH, lambda rep: [rep["inputs"].pop(x) for x in ("q", "n")]),
+    (SPNBT, lambda rep: _rows(rep)[0].update(k="a")),
+    (SEARCH, lambda rep: rep.update(result=[rep["result"]])),
+    (SPNBT, lambda rep: _rows(rep).append(1)),
+    (SPNBT, lambda rep: rep["result"].update(rows={})),
+    (SPNBT, lambda rep: rep.update(inputs=[])),
+    (SPNBT, lambda rep: _rows(rep)[-1].update(r=1.0)),
+    (SPNBT, lambda rep: _rows(rep)[0].update(q="2")),
+    (SPNBT, lambda rep: _rows(rep)[-1]["field"].pop("t")),
+    (SPNBT, lambda rep: _rows(rep)[-1].update(witness=[1, 0, 0, 0, 0])),
+    (FOUND, lambda rep: rep.update(provenance=[rep["provenance"]])),
+], ids=["no-q-n", "k-not-int", "result-list", "row-not-dict", "rows-not-list", "inputs-not-dict",
+        "r-float", "q-str", "field-without-t", "witness-not-str", "provenance-list"])
+def test_verify_report_refuses_what_it_cannot_read(argv, tamper):
+    _, rep = run_cli(*argv)
+    assert verify_report(rep) and not verify_report([rep])
+    tamper(rep)
+    assert not verify_report(rep)
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS, ids=" ".join)
+def test_report_bytes_match_fixture(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    code, out = run_stripped(argv)
+    assert '"seconds"' not in out
+    assert {"exit": code, "stdout": out} == json.loads(REPORTS.read_text())[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    fixture = {" ".join(argv): dict(zip(("exit", "stdout"), run_stripped(argv))) for argv in REPORT_ARGVS}
+    REPORTS.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
+import knpair
 from knpair import _polyops
 from knpair.bounds import _select_g
 from knpair.errors import NoDegreeKDivisor, TooManyDivisors, ZeroPolynomial
@@ -102,6 +108,20 @@ def test_factor_remultiplies_and_certifies():
                 diff = _polyops.sub(f.fq, frob, [0, f.fq.one])
                 assert _polyops.deg(_polyops.gcd(f.fq, diff, list(g.coeffs))) == 0
         assert prod == f.monic()
+
+
+def test_pow_rejects_negative_exponent():
+    # e >>= 1 stays at -1, so a negative exponent would square the base without
+    # end; a fresh interpreter with a timeout turns such a hang into a failure
+    f = PolyQ(field_for(5, 1).fq, (1, 1))
+    assert f**0 == PolyQ.one(f.fq) and f**3 == f * f * f
+    script = ("from knpair.ffield import field_for\n"
+              "from knpair.fqpoly import PolyQ\n"
+              "PolyQ(field_for(5, 1).fq, (1, 1)) ** -1\n")
+    src = str(Path(knpair.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 1 and "ValueError: PolyQ ** -1" in proc.stderr
 
 
 def test_factor_deterministic():
