@@ -20,10 +20,14 @@ characters of exact order m, at an element a of co-order c, sum to
 where the co-order of a = g^L is gcd(L, q^n - 1), and that of a under the
 module action is (x^n - 1)/Ord(a).  (The characters of order dividing m
 sum to |m| when m divides c and to 0 otherwise; Moebius inversion over the
-divisors of m gives S.)  So one table per lattice, by divisor and co-order,
-serves every sum; it is read off the factorizations of q^n - 1
-(FieldCtx.fact_qn_minus_1) and x^n - 1 (modstruct.divisor_lattice), and no
-integer or polynomial is factored per element.
+divisors of m gives S.)  Every characteristic function reads an element
+only through its co-order, and the weighted divisor sums it takes of S --
+the free sum of e-freeness and the class sum of the characters of order
+dividing m -- are multiplicative in (m, c) like S itself.  So each lattice
+keeps S and both sums as tables by co-order and divisor, built factor by
+factor from the factorizations of q^n - 1 (FieldCtx.fact_qn_minus_1) and
+x^n - 1 (modstruct.divisor_lattice): an evaluation looks up one entry per
+divisor argument, and nothing is factored or summed per element.
 
 The F_q-order of psi_y needs no search either: Tr(y * sigma(a)) =
 Tr(sigma^-1(y) * a) for the Frobenius sigma, so psi_y is trivial on
@@ -42,6 +46,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as int_gcd
 
 from .errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
@@ -61,13 +66,22 @@ class _Divisors:
     A divisor is an exponent vector, indexed in the odometer order of
     fqpoly.exponent_vectors, so the complement of index m has index
     len(norm) - 1 - m.  By index m: ``norm[m]``, ``phi[m]`` and ``mu[m]`` are
-    |m|, phi(m) and mu(m), ``subs[m]`` lists the indices of the divisors of m,
-    ascending, and ``S[c][m]`` is S(m, c), a row per co-order since every sum
-    reads one.  Each is multiplicative, so it is built factor by factor.
+    |m|, phi(m) and mu(m), and ``subs[m]`` lists the indices of the divisors
+    of m, ascending.  A row per co-order c, since every sum reads one:
+
+    - ``S[c][m]`` is S(m, c);
+    - ``free[c][m]`` is phi(m) * sum_{d | m} mu(d)/phi(d) * S(d, c): |m| at an
+      m-free element, else 0;
+    - ``cls[c][m]`` is sum_{d | m} S(d, c), the sum of the characters of
+      order dividing m.
+
+    Each is multiplicative in (m, c), so it is built factor by factor, as the
+    Kronecker product of the tables of one prime power P^e, by (b, a) for
+    c = P^b and m = P^a.
     """
 
     def __init__(self, pairs):
-        norm, phi, mu, subs, S = [1], [1], [1], [[0]], [[1]]
+        norm, phi, mu, subs, S, free, cls = [1], [1], [1], [[0]], [[1]], [[1]], [[1]]
         for P, e in reversed(pairs):
             span = range(e + 1)
             powers = [P**a for a in span]
@@ -75,22 +89,22 @@ class _Divisors:
             mu_p = [1, -1] + [0] * (e - 1)
             # local[b][a] = S(P^a, P^b): m/delta = P^max(0, a - b)
             local = [[mu_p[max(0, a - b)] * (phi_p[a] // phi_p[max(0, a - b)]) for a in span] for b in span]
+            # mu(P^a') vanishes past a' = 1
+            lfree = [[sum(mu_p[d] * (phi_p[a] // phi_p[d]) * loc[d] for d in range(min(a, 1) + 1)) for a in span]
+                     for loc in local]
+            lcls = [list(accumulate(loc)) for loc in local]
             norm = [x * y for x in norm for y in powers]
             phi = [x * y for x in phi for y in phi_p]
             mu = [x * y for x in mu for y in mu_p]
             subs = [[i * (e + 1) + b for i in sub for b in range(a + 1)] for sub in subs for a in span]
-            S = [[x * y for x in row for y in loc] for row in S for loc in local]
-        self.norm, self.phi, self.mu, self.subs, self.S = norm, phi, mu, subs, S
+            S, free, cls = _kron(S, local), _kron(free, lfree), _kron(cls, lcls)
+        self.norm, self.phi, self.mu, self.subs = norm, phi, mu, subs
+        self.S, self.free, self.cls = S, free, cls
 
-    def free_sum(self, m: int, c: int) -> int:
-        """phi(m) * sum_{d | m} mu(d)/phi(d) * S(d, c): |m| at an m-free element, else 0."""
-        row, phi, mu, phi_m = self.S[c], self.phi, self.mu, self.phi[m]
-        return sum(mu[d] * (phi_m // phi[d]) * row[d] for d in self.subs[m] if mu[d])
 
-    def class_sum(self, m: int, c: int) -> int:
-        """sum_{d | m} S(d, c), the sum of the characters of order dividing m."""
-        row = self.S[c]
-        return sum(row[d] for d in self.subs[m])
+def _kron(table, local):
+    """The Kronecker product: row (c, b), column (m, a) holds table[c][m] * local[b][a]."""
+    return [[x * y for x in row for y in loc] for row in table for loc in local]
 
 
 class _CharTables:
@@ -108,9 +122,10 @@ class _CharTables:
         self.mult_at = {m: i for i, m in enumerate(self.mult.norm)}
         lattice = divisor_lattice(ctx)
         self.add = _Divisors([(ctx.q**f.degree, e) for f, e in lattice.factors])
-        # the add index of each divisor h, and by h's lattice index that of (x^n - 1)/h
+        # the add index of each divisor h, keyed by its (monic) coefficients, and
+        # by h's lattice index that of (x^n - 1)/h
         at = {v: i for i, (v, _) in enumerate(exponent_vectors(lattice.factors))}
-        self.add_at = {h: at[v] for h, v in zip(lattice.divisors, lattice.vecs)}
+        self.add_at = {h.coeffs: at[v] for h, v in zip(lattice.divisors, lattice.vecs)}
         self.co_order = [len(at) - 1 - at[v] for v in lattice.vecs]
         # Ord(psi_y) is the monic reciprocal of Ord(y), by the trace duality
         recip = [lattice.div_index[PolyQ(ctx.fq, h.coeffs[::-1]).monic()] for h in lattice.divisors]
@@ -125,7 +140,10 @@ class _CharTables:
         over this F_q, NotADivisor when it does not divide x^n - 1."""
         if not isinstance(poly, PolyQ) or poly.fq != self.fq:
             raise CtxMismatch("polynomial and field live over different F_q")
-        idx = self.add_at.get(poly.monic())
+        # a monic poly is found by its own coefficients, any other only by those of poly.monic()
+        idx = self.add_at.get(poly.coeffs)
+        if idx is None:
+            idx = self.add_at.get(poly.monic().coeffs)
         if idx is None:
             raise NotADivisor(f"{name} does not divide x^n - 1")
         return idx
@@ -189,24 +207,25 @@ def rho_e(a: FieldElement, e: int) -> Fraction:
     tab = _charfun_tables(ctx)
     if e < 1 or ctx.N % e:
         raise NotADivisor(f"{e} does not divide q^n - 1")
-    if a.is_zero():
+    code = a.code()
+    if not code:
         raise ZeroElement("rho_e is defined on nonzero elements")
-    c = tab.mult_at[int_gcd(tab.log_codes[a.code()], ctx.N)]  # the co-order gcd(dlog a, q^n - 1)
-    return Fraction(tab.mult.free_sum(tab.mult_at[e], c), e)
+    c = tab.mult_at[int_gcd(tab.log_codes[code], ctx.N)]  # the co-order gcd(dlog a, q^n - 1)
+    return Fraction(tab.mult.free[c][tab.mult_at[e]], e)
 
 
 def upsilon_g(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of g-freeness."""
     tab = _charfun_tables(a.ctx)
     g_idx = tab.divisor_index(g, "g")
-    return Fraction(tab.add.free_sum(g_idx, tab.co_order[tab.ord_idx[a.code()]]), tab.add.norm[g_idx])
+    return Fraction(tab.add.free[tab.co_order[tab.ord_idx[a.code()]]][g_idx], tab.add.norm[g_idx])
 
 
 def psi_set(a: FieldElement, g: PolyQ) -> Fraction:
     """Character-sum indicator of membership in the image of (g o .)."""
     tab = _charfun_tables(a.ctx)
     g_idx = tab.divisor_index(g, "g")
-    return Fraction(tab.add.class_sum(g_idx, tab.co_order[tab.ord_idx[a.code()]]), tab.add.norm[g_idx])
+    return Fraction(tab.add.cls[tab.co_order[tab.ord_idx[a.code()]]][g_idx], tab.add.norm[g_idx])
 
 
 def gamma_rd(a: FieldElement, rd: RDecomposition, d: int) -> Fraction:
@@ -216,16 +235,18 @@ def gamma_rd(a: FieldElement, rd: RDecomposition, d: int) -> Fraction:
     rd.check_field(ctx)
     if d < 1 or rd.R % d:
         raise NotADivisor(f"d = {d} does not divide R = {rd.R}")
-    if a.is_zero():
+    code = a.code()
+    if not code:
         raise ZeroElement("gamma_rd is defined on nonzero elements")
     mult, at = tab.mult, tab.mult_at
-    c = at[int_gcd(tab.log_codes[a.code()], ctx.N)]
-    num = mult.free_sum(at[d], c) * mult.class_sum(at[rd.u], c)
+    c = at[int_gcd(tab.log_codes[code], ctx.N)]
+    S, cls = mult.S[c], mult.cls[c]
+    num = mult.free[c][at[d]] * cls[at[rd.u]]
     den = rd.r * d
     for p_j, _, _, lam in rd.parts:
         # the ell weights times p_j: p_j - 1 at every divisor of lambda_j but itself, -1 there
         lam_idx = at[lam]
-        num *= (p_j - 1) * mult.class_sum(lam_idx, c) - p_j * mult.S[c][lam_idx]
+        num *= (p_j - 1) * cls[lam_idx] - p_j * S[lam_idx]
         den *= p_j
     return Fraction(num, den)
 
@@ -240,13 +261,14 @@ def q_gH(a: FieldElement, gd: GDecomposition, H: PolyQ) -> Fraction:
     if H_idx not in add.subs[tab.divisor_index(gd.G, "G")]:
         raise NotADivisor("H does not divide G")
     c = tab.co_order[tab.ord_idx[a.code()]]
-    num = add.free_sum(H_idx, c) * add.class_sum(tab.divisor_index(gd.pi, "pi"), c)
+    S, cls = add.S[c], add.cls[c]
+    num = add.free[c][H_idx] * cls[tab.divisor_index(gd.pi, "pi")]
     den = add.norm[H_idx] * ctx.q**gd.g.degree
     for f_i, _, _, lam in gd.parts:
         qdeg = ctx.q**f_i.degree
         lam_idx = tab.divisor_index(lam, "Lambda")
         # the ell weights times q^deg f_i: q^deg f_i - 1 at every divisor of Lambda_i but itself, -1 there
-        num *= (qdeg - 1) * add.class_sum(lam_idx, c) - qdeg * add.S[c][lam_idx]
+        num *= (qdeg - 1) * cls[lam_idx] - qdeg * S[lam_idx]
         den *= qdeg
     return Fraction(num, den)
 

@@ -17,13 +17,15 @@ alone builds the report and exits 0 when the command holds, 3 otherwise.  A
 report's "inputs" are the command's own parsed arguments, without the global
 flags and without the ones left unset.  Usage errors (exit 2) include
 factor-poly without exactly one of --xn1 / --poly, knormal without exactly
-one of --elem / --census, and lemma54 with q < 2, n < 1 or n0 < 1.
+one of --elem / --census, lemma54 with q < 2, n < 1 or n0 < 1, and a
+negative --ceiling.  The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -42,7 +44,7 @@ from .ffield import (
     parse_field_spec,
 )
 from .fqpoly import PolyQ, factor_poly, format_poly, parse_poly
-from .intarith import IntFactorization, factor_hints, factor_int
+from .intarith import IntFactorization, factor_hints, factor_int, is_prime
 from .modstruct import fq_order, k_normality, xn1
 
 SCHEMA_VERSION = 1
@@ -173,8 +175,10 @@ def _ints(*values) -> bool:
 def verify_report(report: dict) -> bool:
     """Re-check every witness a parsed report carries with search.pair_verified.
     A row that claims found without a witness fails, and so does a report this
-    cannot read: a report, result or row that is no dict, or a q, n, r, k or
-    field coordinate that is missing where it is read or is no int.
+    cannot read: a report, result or row that is no dict, a q, n, r, k or
+    field coordinate that is missing where it is read or is no int, or a
+    value that would not parse (checked before parsing, see _readable_witness
+    and _table_confirms_not_found).
 
     A search_pair row that reports not-found in a field of at most
     search.TABLE_CEILING elements must agree with the table engine: k is no
@@ -207,7 +211,7 @@ def verify_report(report: dict) -> bool:
             continue
         fspec = row.get("field", field)
         coords = [fspec.get(x) for x in ("p", "t", "n")] if isinstance(fspec, dict) else [None]
-        if not isinstance(wit, str) or not _ints(*coords):
+        if not isinstance(wit, str) or not _ints(*coords) or not _readable_witness(wit, *coords):
             return False
         alpha = parse_element(parse_field_spec("{}^{}:{}".format(*coords)), wit)
         if not search.pair_verified(alpha, r, k):
@@ -215,9 +219,20 @@ def verify_report(report: dict) -> bool:
     return True
 
 
+def _readable_witness(wit: str, p: int, t: int, n: int) -> bool:
+    """Whether wit names an element of F_{(p^t)^n}, in the form parse_element
+    reads: p prime, t, n >= 1, and n F_q literals of at most t F_p digits each."""
+    toks = [tok.strip().split("-") for tok in wit.split(",")]
+    return (is_prime(p) and t >= 1 and len(toks) == n
+            and all(len(digits) <= t and all(d.isdecimal() and int(d) < p for d in digits) for digits in toks))
+
+
 def _table_confirms_not_found(q: int, n: int, r: int, k: int) -> bool:
     """False when the table engine finds a pair that search_pair(q, n, r, k)
-    reported missing; True past the table ceiling, where it cannot look."""
+    reported missing, or when q is no prime power or n < 1; True past the
+    table ceiling, where it cannot look."""
+    if q < 2 or n < 1 or len(factor_int(q).factors) != 1:
+        return False
     ctx = field_for(q, n)
     if r < 1 or ctx.N % r:
         return False
@@ -377,12 +392,23 @@ def _reproduce(args):
     return result, None, result["ok"]
 
 
+def _bits(text: str) -> int:
+    """--ceiling's type: an int >= 0; argparse names the option in the error."""
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = -1
+    if bits < 0:
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
     # knpair --help shows the module docstring up to its notes on commands
     top = argparse.ArgumentParser(prog="knpair", description=__doc__.partition("\nCommands.")[0])
     top.add_argument("--hints", metavar="FILE", help="factorization hints file")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--ceiling", type=int, default=search.ENUM_CEILING_BITS_DEFAULT,
+    top.add_argument("--ceiling", type=_bits, default=search.ENUM_CEILING_BITS_DEFAULT,
                      metavar="BITS", help="enumeration ceiling, log2 of field size")
     sub = top.add_subparsers(dest="command", required=True)
     for name, parser_options, arguments, handler in _COMMANDS:
@@ -392,9 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -132,7 +132,7 @@ class PolyQ:
         return PolyQ(fq, out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyQ) and self.fq == other.fq and self.coeffs == other.coeffs
+        return other is self or (isinstance(other, PolyQ) and self.fq == other.fq and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
         return hash(self.coeffs)

@@ -1,11 +1,13 @@
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 from math import gcd as int_gcd
 
 import pytest
 
 from knpair.characters import (
+    CHARFUN_CEILING,
     add_char,
     add_char_fq_order,
     char_eval,
@@ -21,10 +23,11 @@ from knpair.characters import (
 from knpair.errors import CtxMismatch, FieldTooLarge, NotADivisor, ZeroElement
 from knpair.ffield import FieldCtx, field_for, find_primitive, make_field
 from knpair.fqpoly import PolyQ, divisors_of, phi_q
-from knpair.intarith import divisors as idivs
+from knpair.intarith import divisors as idivs, factor_int
 from knpair.modstruct import (
     decompose_g,
     decompose_r,
+    divisor_lattice,
     fq_order,
     in_Qrd,
     in_Sgk,
@@ -150,6 +153,54 @@ def test_slot_sums_closed_forms(q, n):
             literal = sum(char_eval(add_char(y), a) for y in ys)
             got = tab.add.S[c][tab.divisor_index(h, "h")]
             assert type(got) is int and abs(literal - got) < 1e-9, (h, code)
+
+
+def test_tables_are_the_divisor_sums_of_S():
+    """free[c][m] and cls[c][m], built factor by factor, against the sums over
+    the divisors of m that define them, on both lattices of every field of at
+    most CHARFUN_CEILING elements; S itself is checked against char_eval above."""
+    qs = [q for q in range(2, CHARFUN_CEILING + 1) if len(factor_int(q).factors) == 1]
+    fields = [(q, n) for q in qs for n in range(1, CHARFUN_CEILING.bit_length()) if q**n <= CHARFUN_CEILING]
+    repeated = []
+    for q, n in fields:
+        ctx = field_for(q, n)
+        tab = char_tables(ctx)
+        add_norms = [q**f.degree for f, _ in divisor_lattice(ctx).factors]
+        if len(set(add_norms)) < len(add_norms):
+            repeated.append((q, n))
+        for lat in (tab.mult, tab.add):
+            for c, row in enumerate(lat.S):
+                for m, subs in enumerate(lat.subs):
+                    free = sum(lat.mu[d] * (lat.phi[m] // lat.phi[d]) * row[d] for d in subs if lat.mu[d])
+                    assert lat.free[c][m] == free, (q, n, c, m)
+                    assert lat.cls[c][m] == sum(row[d] for d in subs), (q, n, c, m)
+    # x^3 - 1 = (x - 1)(x - 2)(x - 4) over F_7: three factors of norm 7
+    assert len(fields) > 100 and (7, 3) in repeated
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (9, 2), (4, 3), (2, 6), (7, 3)])
+def test_divisor_index_rejects_and_normalizes(q, n):
+    ctx = field_for(q, n)
+    tab, fq = char_tables(ctx), ctx.fq
+    divisors = divisor_lattice(ctx).divisors
+    others = [field_for(q * q, n).fq]  # equal coefficients mean other elements of F_{q^2}
+    if q == 9:  # F_9 on x^2 + x + 2, not on the default x^2 + 1
+        others.append(make_field(3, 2, 1, base_modulus=(2, 1, 1)).fq)
+    for h in divisors:
+        idx = tab.divisor_index(h, "h")
+        for other in others:
+            assert other != fq
+            with pytest.raises(CtxMismatch):
+                tab.divisor_index(PolyQ(other, h.coeffs), "h")
+        for s in range(2, q):  # a non-monic multiple s h has h's index
+            assert tab.divisor_index(PolyQ(fq, [fq.mul(s, c) for c in h.coeffs]), "h") == idx
+    # every monic polynomial of degree <= n that is no divisor, and zero
+    monic = [PolyQ(fq, [*digits, fq.one]) for deg in range(n + 1) for digits in product(range(q), repeat=deg)]
+    bad = [h for h in monic if h not in divisors] + [PolyQ.zero(fq)]
+    assert bad
+    for h in bad:
+        with pytest.raises(NotADivisor):
+            tab.divisor_index(h, "h")
 
 
 def test_field_too_large_for_charfun():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import knpair
-from knpair import ffield
+from knpair import cli, ffield
 from knpair.cli import load_hints, main, parse_d_expr, verify_report
 from knpair.fqpoly import PolyQ, factor_poly, format_poly
 from knpair.modstruct import xn1_factorization
@@ -333,12 +333,36 @@ def test_usage_error_exit_code():
     (["lemma54", "--q", "0", "--n", "3", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
     (["lemma54", "--q", "-5", "--n", "3", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
     (["lemma54", "--q", "5", "--n", "0", "--d-expr", "1", "--n0", "3"], "q >= 2 and n >= 1"),
+    # exited 2 with "negative shift count", which names no option
+    (["--ceiling", "-1", "search-pair", "--q", "4", "--n", "3"], "argument --ceiling: expected an int >= 0"),
+    (["--ceiling", "x", "search-pair", "--q", "4", "--n", "3"], "argument --ceiling: expected an int >= 0"),
 ])
 def test_usage_errors_exit_2_without_a_report(argv, message, capsys):
     # these ended in a traceback (exit 1), or in factor-poly's case ignored --poly
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def test_ceiling_zero_is_a_field_too_large_error(capsys):
+    assert main(["--ceiling", "0", "search-pair", "--q", "4", "--n", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "field-too-large"
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        # a report, a usage error, a computational error, and a report again
+        for argv in (["factor-int", "15"], ["frobnicate"],
+                     ["--ceiling", "0", "search-pair", "--q", "4", "--n", "3"], ["factor-int", "21"]):
+            run_stripped(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_reproduce_table3_spot():
@@ -427,8 +451,18 @@ SPNBT = ("reproduce", "--target", "spnbt-exceptions")  # row 0 not found, row -1
     (SPNBT, lambda rep: _rows(rep)[-1]["field"].pop("t")),
     (SPNBT, lambda rep: _rows(rep)[-1].update(witness=[1, 0, 0, 0, 0])),
     (FOUND, lambda rep: rep.update(provenance=[rep["provenance"]])),
+    # these three raised ValueError or NotPrime instead of returning False
+    (FOUND, lambda rep: rep["result"].update(witness="1")),
+    (FOUND, lambda rep: rep["provenance"]["field"].update(p=4)),
+    (SPNBT, lambda rep: _rows(rep)[0].update(q=6)),
+    (FOUND, lambda rep: rep["result"].update(witness="1,0,2,0,0")),
+    (FOUND, lambda rep: rep["result"].update(witness="1,0,x,0,0")),
+    (FOUND, lambda rep: rep["provenance"]["field"].update(t=0)),
+    (SPNBT, lambda rep: _rows(rep)[0].update(n=0)),
 ], ids=["no-q-n", "k-not-int", "result-list", "row-not-dict", "rows-not-list", "inputs-not-dict",
-        "r-float", "q-str", "field-without-t", "witness-not-str", "provenance-list"])
+        "r-float", "q-str", "field-without-t", "witness-not-str", "provenance-list",
+        "witness-too-short", "p-not-prime", "q-not-prime-power", "digit-past-p", "digit-not-int", "t-zero",
+        "n-zero"])
 def test_verify_report_refuses_what_it_cannot_read(argv, tamper):
     _, rep = run_cli(*argv)
     assert verify_report(rep) and not verify_report([rep])
