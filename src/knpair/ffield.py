@@ -520,10 +520,10 @@ class _Lanes:
         index sum_k c_k p^k."""
         add, out = xor if self.p == 2 else self.add, [0]
         for v in vectors:
-            c, base = 0, out
+            c, base = 0, list(out)
             for _ in range(self.p - 1):
                 c = add(c, v)
-                out = out + [add(s, c) for s in base]
+                out += [add(s, c) for s in base]
         return out
 
     def halves(self, vectors: list[int]) -> tuple[list[int], list[int]]:

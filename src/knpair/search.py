@@ -19,14 +19,19 @@ primes f of h, which flag the elements of F_q-order exactly h; no stream
 walks more than one run past the hit.  direct_search streams the beta with
 beta_0 = 0, which give every alpha = beta^q - beta, with the maps
 ((x^n - 1)/f)(sigma) for the primes f of (x^n - 1)/(x - 1), which flag the
-beta whose alpha is 1-normal.  Conjugates share a stream and a verdict, so
-only the least, the first to come, goes to the one candidate test,
-_Predicates.pair_test: the inverse's k-normality by descent through the
-lattice's quotients, then the exact order.  The streams and the descent
-apply h(sigma) by lookup tables over groups of lanes (_Lanes.linear_map),
-built from the divisor's matrix (modstruct.action_columns) on first use and
-kept on the context; only the inverse and the order test take coefficient
-tuples.
+beta whose alpha is 1-normal.  The orbit c * alpha^(q^i), c in F_q^*,
+i < n, shares a stream and most of a verdict: every member's inverse has the
+F_q-order of alpha^-1, and the order of c alpha^(q^i) is that of c alpha,
+with (c alpha)^e = c^e alpha^e.  So only an orbit's least element, the
+first to come, passes _Predicates.conjugate_first (monic, with no lesser
+monic multiple of a conjugate), and goes to the one candidate test,
+_Predicates.pair_test: one inverse, one k-normality descent through the
+lattice's quotients, each power alpha^e of the order test once, and from
+these the least member that passes.  The merge keeps the best member found
+and stops once the walk has passed it.  The streams and the descent apply
+h(sigma) by lookup tables over groups of lanes (_Lanes.linear_map), built
+from the divisor's matrix (modstruct.action_columns) on first use and kept
+on the context; only the inverse and the order test take coefficient tuples.
 
 The table engine builds, once per context, the F_q-order table first and
 then one discrete-log walk.  The F_q-order table starts at the index of
@@ -83,11 +88,13 @@ class _Predicates:
     """Streaming per-element predicate kit for one context, on packed ints.
 
     Elements are packed (_Lanes) wherever the searches read them; only _inv
-    and order_is take coefficient tuples.  The map h(sigma) of a lattice
+    and scalar_orders take coefficient tuples.  The map h(sigma) of a lattice
     divisor h is kept as _Lanes.linear_map tables, built from its matrix
     (modstruct.action_columns) the first time the descent or a stream asks
-    for it; sigma itself, for conjugate_first, is built with the kit.  The
-    searches keep one kit per context (FieldCtx.memo).
+    for it; sigma itself, for the conjugates, is built with the kit.  The
+    searches keep one kit per context (FieldCtx.memo).  A search judges
+    whole orbits c * alpha^(q^i), c in F_q^*: conjugate_first picks an
+    orbit's least element and pair_test gives its verdict.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -112,12 +119,38 @@ class _Predicates:
         return self.lanes.apply(pairs, a)
 
     def conjugate_first(self, a: int) -> bool:
-        """Whether the packed element a is the least of its conjugates a^(q^i)."""
+        """Whether the packed element a is the least of its orbit
+        c * a^(q^i), c in F_q^*, i < n.  Scaling by c scales the top nonzero
+        coefficient, whose least code is 1: a must be monic, and no conjugate
+        may be less than a or, of a's degree, have a lesser monic multiple.
+        Zero does not pass."""
+        bits = self.lanes.coeff_bits
+        top = bits * (max(a.bit_length() - 1, 0) // bits)
+        if a >> top != 1:
+            return False
+        digit_code, fq, mask = self.lanes.digit_code, self.ctx.fq, (1 << bits) - 1
+        for b in self.conjugates(a):
+            if b < a:
+                return False
+            lead = b >> top
+            if lead >> bits == 0 and lead != 1:
+                # b / lead against a, from the top coefficient down to the first that differs
+                s = fq.inv(digit_code[lead])
+                for shift in range(top - bits, -1, -bits):
+                    x, y = fq.mul(digit_code[b >> shift & mask], s), digit_code[a >> shift & mask]
+                    if x != y:
+                        if x < y:
+                            return False
+                        break
+        return True
+
+    def conjugates(self, a: int):
+        """The packed a^(q^i) other than a, in order of i."""
         apply, sigma = self.lanes.apply, self.sigma
         b = apply(sigma, a)
-        while b > a:
+        while b != a:
+            yield b
             b = apply(sigma, b)
-        return b == a
 
     def ord_divisor_index(self, a: int) -> int:
         """Index of the F_q-order of the packed element a, by descent from
@@ -184,25 +217,81 @@ class _Predicates:
                 if ((v & LOW) + LOW | v) & TOP == TOP:
                     yield v >> S << 1 | 1
 
-    def pair_test(self, a: int, r: int, k: int) -> bool:
-        """Whether the inverse of the packed, nonzero a is k-normal, by descent,
-        and a has order (q^n - 1)/r."""
-        lanes = self.lanes
-        coeffs = lanes.unpack(a)
-        return self.knorm(lanes.pack(self.ctx._inv(coeffs))) == k and self.order_is(coeffs, r)
+    def pair_test(self, a: int, alpha: int, r: int, k: int, keep: int = -1) -> int | None:
+        """The verdict on one orbit: the least packed c * (a^(q^i) & keep),
+        over c in F_q^* and i < n, for which c * alpha has order (q^n - 1)/r,
+        when the inverse of alpha is k-normal; None when there is none.  a
+        passes conjugate_first, so it is nonzero, and so is alpha: in
+        direct_search, beta^q - beta is zero only at beta = 0.
 
-    def order_is(self, coeffs: tuple, r: int) -> bool:
-        """ord = (q^n - 1)/r, via one confirmation power and per-prime rejections."""
+        (c alpha^(q^i))^-1 = c^-1 (alpha^-1)^(q^i) has the F_q-order of
+        alpha^-1, and c alpha^(q^i) has the order of c alpha: alpha is
+        inverted once, for one descent, and its powers give the order of
+        every c alpha at once (scalar_orders).  The walk holds
+        c * (a^(q^i) & keep) for the member c alpha^(q^i).  Of the multiples
+        of one conjugate, the least has the least top coefficient, and a
+        conjugate of a higher degree than a's holds no least member."""
+        ctx, lanes, fq = self.ctx, self.lanes, self.ctx.fq
+        coeffs = lanes.unpack(alpha)
+        if self.knorm(lanes.pack(ctx._inv(coeffs))) != k:
+            return None
+        conds = self.scalar_orders(coeffs, r)
+        if conds is None:
+            return None
+        fpow, fmul, digit_code, bits = fq.pow, fq.mul, lanes.digit_code, lanes.coeff_bits
+        top = bits * ((a.bit_length() - 1) // bits)
+        # a comes first, of top coefficient 1, so its u run over all of
+        # F_q^*; a later conjugate need only reach the best u so far
+        best, bound = None, ctx.q
+        for b in chain((a,), self.conjugates(a)):
+            b &= keep
+            if b >> (top + bits):
+                continue
+            inv_lc = fq.inv(digit_code[b >> top])
+            for u in range(1, bound):
+                c = fmul(u, inv_lc)
+                if all((fpow(c, e) == s) == equal for e, s, equal in conds):
+                    member = lanes.pack(ctx._scale(lanes.unpack(b), c))
+                    if best is None or member < best:
+                        best, bound = member, u + 1
+                    break
+            if best is None:
+                return None
+        return best
+
+    def scalar_orders(self, coeffs: tuple, r: int) -> list[tuple[int, int, bool]] | None:
+        """The c in F_q^* for which c * alpha, alpha of these coefficients, has
+        order (q^n - 1)/r, as conditions (e, s, equal): c^e == s is equal.
+        None when no c passes.
+
+        ord = (q^n - 1)/r takes one confirmation power, (c alpha)^(N/r) = 1
+        when r > 1, and one rejection per prime p of N/r, (c alpha)^(N/rp) != 1.
+        (c alpha)^e = c^e alpha^e with c^e in F_q, so it is 1 exactly when
+        alpha^e is a scalar and c^e = 1/alpha^e; c^e depends only on
+        e mod (q - 1).  Each alpha^e is computed once: a confirmation that is
+        no scalar, or an exponent divisible by q - 1 whose test fails, rules
+        out every c, so those exponents come first and the test stops there.
+        """
         ctx = self.ctx
-        N = ctx.N
-        target = N // r
-        one = (1,) + (0,) * (ctx.n - 1)
-        if r > 1 and ctx._pow(coeffs, target) != one:
-            return False
-        for p, _ in ctx.fact_qn_minus_1.factors:
-            if target % p == 0 and ctx._pow(coeffs, target // p) == one:
-                return False
-        return True
+        fq, L, target = ctx.fq, ctx.q - 1, ctx.N // r
+        checks = sorted(((target // p, False) for p, _ in ctx.fact_qn_minus_1.factors if target % p == 0),
+                        key=lambda check: check[0] % L != 0)
+        if r > 1:
+            checks.insert(0, (target, True))
+        conds = []
+        for e, equal in checks:
+            power = ctx._pow(coeffs, e)
+            if any(power[1:]):  # not in F_q: (c alpha)^e != 1 for every c
+                if equal:
+                    return None
+                continue
+            s = fq.inv(power[0])
+            if e % L == 0:  # c^e = 1 for every c
+                if (s == 1) != equal:
+                    return None
+                continue
+            conds.append((e % L, s, equal))
+        return conds
 
 
 class _ScanTables:
@@ -319,20 +408,35 @@ def search_pair(q: int, n: int, r: int, k: int, ceiling_bits: int = ENUM_CEILING
     # every process that imports knpair, and only this search needs it
     from heapq import merge
 
-    hit = None
-    for v in merge(*streams):
-        # an even v is a stream's mark of how far it has walked; a conjugate
-        # alpha^(q^i) has the same F_q-order and order as alpha, and so has
-        # its inverse, so only the least conjugate, the first to come, is tested
-        if v & 1 and preds.conjugate_first(v >> 1) and preds.pair_test(v >> 1, r, k):
-            hit = preds.lanes.code(v >> 1)
-            break
-    if hit is None:
+    best = _least_passing(preds, merge(*streams), lambda a: preds.pair_test(a, a, r, k))
+    if best is None:
         return SearchOutcome(False, None, ctx.N)
+    hit = preds.lanes.code(best)
     witness = ctx.from_code(hit)
     if not pair_verified(witness, r, k):
         raise AssertionError("witness failed independent re-verification")
     return SearchOutcome(True, witness, hit)
+
+
+def _least_passing(preds: _Predicates, values, verdict) -> int | None:
+    """The least packed member that verdict, a pair_test, passes over the
+    orbits of the flagged values of a stream in code order, or None.
+
+    An even value is a stream's mark of how far it has walked.  The members
+    of an orbit are flagged alike, so each orbit comes first at its least
+    element, the one that passes conjugate_first, and is judged there as a
+    whole; once the walk has passed the best member found, no orbit still to
+    come holds a lesser one."""
+    best = None
+    for v in values:
+        a = v >> 1
+        if best is not None and a >= best:
+            break
+        if v & 1 and preds.conjugate_first(a):
+            least = verdict(a)
+            if least is not None and (best is None or least < best):
+                best = least
+    return best
 
 
 def pair_verified(alpha: FieldElement, r: int, k: int) -> bool:
@@ -370,20 +474,18 @@ def direct_search(q: int, n: int, ceiling_bits: int = ENUM_CEILING_BITS_DEFAULT)
     maps = [j for j, f_e in zip(preds.quot[preds.top], preds.factors) if f_e != (x_minus_1, 1)]
     sub_one = preds.divisors.index(x_minus_1)
     # the beta with beta_0 = 0 have the top-echelon F_p basis y^j x^i, i >= 1.
-    # beta^(q^i) less its constant term is walked too and gives alpha^(q^i),
-    # of the same verdict; beta, of code a multiple of q, is the least of
-    # these exactly when it is the least of its conjugates
+    # c beta^(q^i) less its constant term (& keep) is walked too and gives
+    # c alpha^(q^i), of the orbit of alpha, and pair_test maps each member
+    # back to this beta.  beta, of code a multiple of q, is the least of these
+    # exactly when it is the least of the c beta^(q^i), so the least beta of
+    # an orbit passes conjugate_first
     units = [tuple(int(i == j) for i in range(ctx.n)) for j in range(1, ctx.n)]
-    hit = None
-    for v in preds.stream(lanes.fp_basis(units), maps):
-        if v & 1 and preds.conjugate_first(v >> 1):
-            alpha = preds.image(sub_one, v >> 1)
-            # alpha = 0 is flagged only for n = 1, where h* = 1
-            if alpha and preds.pair_test(alpha, 1, 1):
-                hit = lanes.code(v >> 1)
-                break
-    if hit is None:
+    keep = ~((1 << lanes.coeff_bits) - 1)
+    best = _least_passing(preds, preds.stream(lanes.fp_basis(units), maps),
+                          lambda beta: preds.pair_test(beta, preds.image(sub_one, beta), 1, 1, keep))
+    if best is None:
         return SearchOutcome(False, None, ctx.order)
+    hit = lanes.code(best)
     beta = ctx.from_code(hit)
     alpha = beta.frob() - beta
     if not pair_verified(alpha, 1, 1):

@@ -420,6 +420,38 @@ def test_verify_report_confirms_not_found_with_the_table_engine():
     assert verify_report(rep)
 
 
+def test_verify_report_sizes_not_found_rows_before_building_a_field(monkeypatch):
+    # a not-found row whose q is a large semiprime is refused at once, and a
+    # prime power past the table ceiling passes unconfirmed; neither factors
+    # q, builds a field or counts
+    import time
+
+    from knpair import search
+
+    _, rep = run_cli(*SEARCH)
+    assert verify_report(rep)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored q, built a field or counted")
+
+    for module, name in [(cli, "factor_int"), (cli, "field_for"), (search, "field_for"),
+                         (search, "census"), (ffield, "make_field")]:
+        monkeypatch.setattr(module, name, refuse)
+    semiprime = (10**19 + 51) * (10**19 + 273)
+    start = time.perf_counter()
+    rep["inputs"].update(q=semiprime, n=2)
+    assert not verify_report(rep)
+    assert not cli._table_confirms_not_found(semiprime, 2, 1, 1)
+    assert time.perf_counter() - start < 1
+    for q, n in [(2**61 - 1, 2), (3, 13), (2, 21), (1031, 2)]:
+        rep["inputs"].update(q=q, n=n, r=1)
+        assert verify_report(rep), (q, n)
+    # r must still divide q^n - 1: 17 does not divide (2^61 - 1)^2 - 1
+    assert ((2**61 - 1) ** 2 - 1) % 17
+    assert not cli._table_confirms_not_found(2**61 - 1, 2, 17, 1)
+    assert cli._table_confirms_not_found(2**61 - 1, 2, 3, 1)
+
+
 def test_verify_report_rejects_table_row_found_without_witness():
     _, rep = run_cli("reproduce", "--target", "spnbt-exceptions")
     assert verify_report(rep)

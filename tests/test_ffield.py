@@ -602,3 +602,23 @@ def test_f2_kernel_not_built_by_setup(monkeypatch):
     assert ffield._F2Kernel not in ctx._memo
     ctx._mul(ctx.one().coeffs, ctx.one().coeffs)
     assert ffield._F2Kernel in ctx._memo
+
+
+@pytest.mark.parametrize("q,n,count", [(3, 4, 3), (9, 2, 3), (13, 2, 2), (4093, 1, 1)])
+def test_lanes_span_against_product(q, n, count):
+    # span lists sum_k c_k v_k at index sum_k c_k p^k; the reference sums
+    # coefficient tuples over itertools.product, whose last factor runs
+    # fastest, so each c is read reversed
+    from itertools import product
+
+    ctx = field_for(q, n)
+    lanes = ffield._Lanes(ctx)
+    rng = random.Random(q * 100 + n)
+    vectors = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(count)]
+    want = []
+    for cs in product(range(ctx.p), repeat=count):
+        acc = (0,) * n
+        for c, v in zip(reversed(cs), vectors):
+            acc = ctx._add(acc, ctx._scale(v, c))
+        want.append(lanes.pack(acc))
+    assert lanes.span([lanes.pack(v) for v in vectors]) == want

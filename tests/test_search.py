@@ -122,6 +122,41 @@ def test_search_pair_r2_k2_found(q, n, code):
     assert next(c for c in range(1, ctx.order) if is_pair(c)) == code
 
 
+@pytest.mark.parametrize("q,n,r,k,code", [(3, 5, 2, 1, 63), (7, 4, 4, 1, 98), (4, 5, 11, 1, 36),
+                                          (5, 5, 22, 0, 1257)])
+def test_search_pair_witness_not_monic(q, n, r, k, code):
+    # each witness has top coefficient 2, so it is the least passing member
+    # of an orbit c * alpha^(q^i) first seen at a lesser, monic element; no
+    # code below it passes mult_order and k_normality on alpha and alpha^-1
+    out = search_pair(q, n, r, k)
+    assert out.found and out.witness.code() == out.scanned == code
+    assert next(c for c in reversed(out.witness.coeffs) if c) == 2
+    ctx = out.witness.ctx
+    for c in range(1, code + 1):
+        a = ctx.from_code(c)
+        ok = all(mult_order(x) == ctx.N // r and k_normality(x) == k for x in (a, a.inv()))
+        assert ok == (c == code), c
+
+
+@pytest.mark.parametrize("q,n,r,k,most", [(16, 4, 1, 1, 64), (13, 4, 2, 2, 24), (4, 6, 1, 1, 72),
+                                          (4, 8, 1, 2, 128)])
+def test_search_pair_inverts_once_per_orbit(monkeypatch, q, n, r, k, most):
+    # none of these has a pair; each orbit c * alpha^(q^i), c in F_q^*, of
+    # the k-normal elements is tested once, at its least element, with one
+    # inverse, where a test per element would make 960, 252, 216 and 384
+    ctx = field_for(q, n)
+    real, calls = FieldCtx._inv, []
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FieldCtx, "_inv", counted)
+    out = search_pair(q, n, r, k)
+    assert (out.found, out.witness, out.scanned) == (False, None, ctx.N)
+    assert len(calls) <= most
+
+
 # t > 1 (F_4^3, F_9^2, F_8^2), p | n (F_2^4, F_2^6, F_3^3), n = 1 and n = 2
 SMALL_GRID = [(4, 3), (9, 2), (8, 2), (2, 4), (2, 6), (3, 3), (3, 4), (7, 1), (4, 1), (2, 1), (5, 2), (13, 2)]
 
@@ -177,9 +212,11 @@ def test_packed_descent_against_fq_order():
     # every element of every field of at most 512 elements, and of F_9^3 and
     # F_27^2 (t > 1, odd p, p | n): the packed descent's order is fq_order's,
     # which walks the Frobenius orbit and shares no code with the lane tables,
-    # and the packed conjugates agree with FieldElement.frob.  An a with
-    # a_0 = 0 is the least of its conjugates exactly when it is the least of
-    # them with their constant term cleared; direct_search's skip rests on it
+    # and conjugate_first picks the least of each orbit c * a^(q^i),
+    # c in F_q^*: of the multiples of one conjugate b (FieldElement.frob),
+    # the least is b scaled by the inverse of its top coefficient.  An a with
+    # a_0 = 0 is the least of its orbit exactly when it is the least of its
+    # members with their constant term cleared; direct_search's skip rests on it
     for q, n in field_grid(512) + [(9, 3), (27, 2)]:
         ctx = field_for(q, n)
         preds = _Predicates(ctx)
@@ -188,10 +225,14 @@ def test_packed_descent_against_fq_order():
             packed = lanes.pack(a.coeffs)
             assert lanes.unpack(packed) == a.coeffs and lanes.code(packed) == a.code()
             assert preds.divisors[preds.ord_divisor_index(packed)] == fq_order(a), (q, n, a.code())
-            least = min(a.frob(i).code() for i in range(n))
-            assert preds.conjugate_first(packed) == (a.code() == least), (q, n, a.code())
+            if a.is_zero():
+                assert not preds.conjugate_first(packed)
+                continue
+            conjugates = [a.frob(i) for i in range(n)]
+            orbit = [b.scale(ctx.fq.inv(next(c for c in reversed(b.coeffs) if c))).code() for b in conjugates]
+            assert preds.conjugate_first(packed) == (a.code() == min(orbit)), (q, n, a.code())
             if a.coeffs[0] == 0:
-                least = min(a.frob(i).code() // q * q for i in range(n))
+                least = min(code // q * q for code in orbit)
                 assert preds.conjugate_first(packed) == (a.code() == least), (q, n, a.code())
 
 
