@@ -20,14 +20,24 @@ chosen by ``fq``:
 
 A division is two steps: ``divisor`` reads what the loop needs of the
 divisor (its degree, the inverse of its leading coefficient, and its other
-nonzero coefficients, as logs for t > 1), and ``reduce`` runs the loop.
-``divmod_`` runs the two back to back.  ``pow_mod`` prepares its modulus
-once per call, not once per product, and ``is_irreducible`` prepares f once
-for all its q-th powers; nothing is kept past the call.
+nonzero coefficients, as logs for t > 1), and the loop runs on it.
+``divmod_`` forms the quotient too; ``_rem``, behind ``mod``, ``pow_mod``
+and Euclid, reduces its own copy in place and forms none.  ``pow_mod``
+prepares its modulus once per call, not once per product, and
+``is_irreducible`` prepares f once for all its q-th powers; nothing is kept
+past the call.
 
 In characteristic 2 a square takes no product: (sum c_i x^i)^2 =
-sum c_i^2 x^(2i), so ``square`` places c_i^2 at x^(2i).  ``pow_mod``
-squares with it, left to right over the exponent's bits.
+sum c_i^2 x^(2i), so ``square`` places c_i^2 at x^(2i): c_i itself for
+t = 1, ``fq.squares[c_i]`` for t > 1.  ``pow_mod`` squares with it, left
+to right over the exponent's bits, so a q-th power, q = 2^t, is t
+squarings.
+
+Ben-Or's test (``is_irreducible``) asks of each gcd only whether it is 1:
+``_euclid`` runs on remainders alone, with no monic scaling.  The moduli
+search calls it with rootless=True on the candidates its root sieve kept,
+whose i = 1 gcd is always 1 and is skipped; every other caller runs the
+full test.
 """
 
 from __future__ import annotations
@@ -90,8 +100,7 @@ def square(fq, a: list[int]) -> list[int]:
     if fq.t == 1:
         out[::2] = a
     else:
-        log, alog = fq.log, fq.alog
-        out[::2] = [alog[2 * log[c]] for c in a]
+        out[::2] = map(fq.squares.__getitem__, a)
     return out
 
 
@@ -121,11 +130,34 @@ def divisor(fq, b: Sequence[int]) -> tuple[int, int, list[tuple[int, int]]]:
     return top, inv_lead, [(j, (log[y] + neg) % order) for j, y in enumerate(b[:top]) if y]
 
 
-def reduce(fq, a: list[int], div: tuple[int, int, list[tuple[int, int]]]) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by the divisor that ``divisor`` prepared."""
+def _rem(fq, a: list[int], div: tuple[int, int, list[tuple[int, int]]]) -> list[int]:
+    """The remainder of a by the divisor that ``divisor`` prepared.  a is
+    reduced in place, so the caller passes a list of its own."""
     top, inv_lead, low = div
-    if len(a) <= top:
+    if fq.t == 1:
+        p = fq.p
+        for s in range(len(a) - top - 1, -1, -1):
+            c = a[s + top] % p
+            if c:
+                c = c * inv_lead % p
+                for j, y in low:
+                    a[s + j] -= c * y
+        return trim([c % p for c in a[:top]])
+    log, alog, add_ = fq.log, fq.alog, fq.add
+    for s in range(len(a) - top - 1, -1, -1):
+        c = a[s + top]
+        if c:
+            lc = log[c]
+            for j, ly in low:
+                a[s + j] = add_(a[s + j], alog[lc + ly])
+    del a[top:]
+    return trim(a)
+
+
+def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    if b and len(a) < len(b):  # nothing to reduce: skip the preparation
         return [], list(a)
+    top, inv_lead, low = divisor(fq, b)
     rem = list(a)
     quo = [0] * (len(a) - top)
     if fq.t == 1:
@@ -149,16 +181,10 @@ def reduce(fq, a: list[int], div: tuple[int, int, list[tuple[int, int]]]) -> tup
     return trim(quo), trim(rem[:top])
 
 
-def divmod_(fq, a: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    if b and len(a) < len(b):  # nothing to reduce: skip the preparation
-        return [], list(a)
-    return reduce(fq, a, divisor(fq, b))
-
-
 def mod(fq, a: list[int], b: Sequence[int]) -> list[int]:
     if b and len(a) < len(b):
         return list(a)
-    return reduce(fq, a, divisor(fq, b))[1]
+    return _rem(fq, list(a), divisor(fq, b))
 
 
 def monic(fq, a: list[int]) -> list[int]:
@@ -167,11 +193,17 @@ def monic(fq, a: list[int]) -> list[int]:
     return scale(fq, a, fq.inv(a[-1]))
 
 
-def gcd(fq, a: list[int], b: list[int]) -> list[int]:
+def _euclid(fq, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The last nonzero remainder of Euclid on a and b: gcd(a, b) up to a
+    scalar, so of degree 0 exactly when a and b are coprime."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, mod(fq, a, b)
-    return monic(fq, a)
+        a, b = b, _rem(fq, a, divisor(fq, b))
+    return a
+
+
+def gcd(fq, a: list[int], b: list[int]) -> list[int]:
+    return monic(fq, _euclid(fq, a, b))
 
 
 def inv_mod(fq, a: list[int], modulus: Sequence[int]) -> list[int]:
@@ -198,22 +230,29 @@ def _pow_by(fq, base: list[int], e: int, div) -> list[int]:
     """pow_mod on a modulus that ``divisor`` prepared."""
     if e == 0:
         return [fq.one]
-    base = reduce(fq, base, div)[1]
+    base = _rem(fq, list(base), div) if len(base) > div[0] else trim(list(base))
     result = base
     for bit in bin(e)[3:]:
-        result = reduce(fq, square(fq, result), div)[1]
+        result = _rem(fq, square(fq, result), div)
         if bit == "1":
-            result = reduce(fq, mul(fq, result, base), div)[1]
+            result = _rem(fq, mul(fq, result, base), div)
     return result
 
 
-def is_irreducible(fq, f: list[int]) -> bool:
+def is_irreducible(fq, f: list[int], rootless: bool = False) -> bool:
     """Ben-Or test: gcd(x^(q^i) - x, f) = 1 for every i <= d/2.
 
     A reducible f has an irreducible factor of some degree i <= d/2, which
     divides x^(q^i) - x, so the loop stops at the degree of the smallest
-    factor; x^(q^i) comes from x^(q^(i-1)) by one q-th power.  f(0) = 0
-    means x divides f, so no power is taken at all.
+    factor; x^(q^i) comes from x^(q^(i-1)) by one q-th power, in
+    characteristic 2 t squarings.  f(0) = 0 means x divides f, so no power
+    is taken at all.  Each gcd only asks whether it is 1: Euclid runs on
+    remainders alone, with no monic scaling.
+
+    rootless=True is the caller's word that f has no root in F_q, which the
+    moduli search's root sieve establishes: f then has no factor of degree
+    1, so the i = 1 gcd, always 1, is skipped, and below degree 4 there is
+    nothing left to test.  Every other caller runs the full test.
     """
     d = deg(f)
     if d < 1:
@@ -222,11 +261,13 @@ def is_irreducible(fq, f: list[int]) -> bool:
         return True
     if f[0] == 0:
         return False
+    if rootless and d < 4:
+        return True
     div = divisor(fq, f)
     x = [0, fq.one]
     h = x
-    for _ in range(d // 2):
+    for i in range(1, d // 2 + 1):
         h = _pow_by(fq, h, fq.q, div)
-        if deg(gcd(fq, f, sub(fq, h, x))) != 0:
+        if (i > 1 or not rootless) and deg(_euclid(fq, f, sub(fq, h, x))) != 0:
             return False
     return True

@@ -44,7 +44,7 @@ from .ffield import (
     parse_field_spec,
 )
 from .fqpoly import PolyQ, factor_poly, format_poly, parse_poly
-from .intarith import IntFactorization, factor_hints, factor_int, is_prime
+from .intarith import IntFactorization, factor_hints, factor_int, is_prime, prime_power
 from .modstruct import fq_order, k_normality, xn1
 
 SCHEMA_VERSION = 1
@@ -232,24 +232,12 @@ def _table_confirms_not_found(q: int, n: int, r: int, k: int) -> bool:
     reported missing, or when q is no prime power, n < 1 or r does not
     divide q^n - 1; True past the table ceiling, where it cannot look.  No
     check factors q or forms a q^n past the ceiling."""
-    if q < 2 or n < 1 or r < 1 or not _is_prime_power(q) or pow(q, n, r) != 1 % r:
+    if n < 1 or r < 1 or prime_power(q) is None or pow(q, n, r) != 1 % r:
         return False
     ceiling = search.TABLE_CEILING
     if q > ceiling or n >= ceiling.bit_length() or q**n > ceiling:
         return True
     return k not in search.census(q, n, "pair_table", r)
-
-
-def _is_prime_power(q: int) -> bool:
-    """Whether q = p^t for a prime p, from the integer t-th roots of q."""
-    for t in range(1, q.bit_length()):
-        # Newton's iteration from above ends at floor(q^(1/t))
-        root = 1 << -(-q.bit_length() // t)
-        while (nxt := ((t - 1) * root + q // root ** (t - 1)) // t) < root:
-            root = nxt
-        if root**t == q and is_prime(root):
-            return True
-    return False
 
 
 # -- reproduce targets -------------------------------------------------------------

@@ -12,7 +12,9 @@ required degree, "least" meaning smallest packed code with the constant
 term in the least significant digit.  The search (``_least_irreducible``)
 drops the candidates with a root in F_q while q <= FQ_TABLE_CEILING and
 hands the rest, in code order, to Ben-Or's test, which alone accepts a
-modulus.
+modulus.  A candidate the sieve kept has no root, so Ben-Or skips its
+i = 1 gcd; a modulus override, and every candidate above the ceiling, gets
+the full test.
 
 Element arithmetic (``FieldCtx._mul``, ``_inv``, ``_pow``) multiplies and
 reduces coefficient lists with ``_polyops`` for odd p.  For p = 2 it runs on
@@ -50,7 +52,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-from .intarith import IntFactorization, factor_int, is_prime
+from .intarith import IntFactorization, factor_int, is_prime, prime_power
 
 FQ_TABLE_CEILING = 4096  # largest q for which a t>1 subfield gets log tables
 DLOG_CEILING_DEFAULT = 1 << 24
@@ -73,6 +75,7 @@ class Fq:
     entries of ``log``: it repeats the powers of the generator up to index
     2q - 4 and is 0 from ZERO to 2 ZERO, so ``alog[log[a] + log[b]]`` is
     the product a*b, zero factors included, with no reduction mod q - 1.
+    For p = 2 and t > 1, ``squares[a]`` is a*a, which _polyops.square reads.
     """
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
@@ -147,6 +150,7 @@ class Fq:
         self.mul = self._mul_table
         self.inv = self._inv_table
         if p == 2:
+            self.squares = [self.alog[2 * i] for i in log]
             return
         # additive structure: digitwise mod p (full table only while quadratic
         # storage stays trivial)
@@ -210,7 +214,8 @@ def _least_irreducible(fq, degree: int) -> tuple[int, ...]:
     and differ in the constant term.  Above degree 1, while q <=
     FQ_TABLE_CEILING, a block first drops every constant -g(a), a in F_q,
     where g is the shared part: those candidates have the root a (a = 0
-    drops the constant 0).  Ben-Or decides the rest, in code order.
+    drops the constant 0).  Ben-Or decides the rest, in code order; a
+    sieved candidate has no root, so Ben-Or skips its i = 1 gcd.
     """
     q, fmul, fadd = fq.q, fq.mul, fq.add
     sieve = degree > 1 and q <= FQ_TABLE_CEILING
@@ -232,7 +237,7 @@ def _least_irreducible(fq, degree: int) -> tuple[int, ...]:
             consts = [c for c in consts if c not in roots]
         for c in consts:
             cand = [c] + upper
-            if _polyops.is_irreducible(fq, cand):
+            if _polyops.is_irreducible(fq, cand, rootless=sieve):
                 return tuple(cand)
     raise ReducibleModulus(f"no irreducible of degree {degree} over F_{q}")  # unreachable
 
@@ -890,11 +895,12 @@ def make_field(p: int, t: int, n: int, base_modulus=None, ext_modulus=None) -> F
 
 @lru_cache(maxsize=None)
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^t with p prime, or NotPrime."""
-    f = factor_int(q)
-    if len(f.factors) != 1:
+    """q = p^t with p prime, or NotPrime; from integer roots, with no
+    factoring, so a large composite q is refused at once."""
+    pt = prime_power(q)
+    if pt is None:
         raise NotPrime(f"{q} is not a prime power")
-    return f.factors[0]
+    return pt
 
 
 def field_for(q: int, n: int) -> FieldCtx:

@@ -1,15 +1,17 @@
 """Exact integer number theory.
 
-Factorization is fully deterministic: trial division by every prime below
-10^6 (sieved only as far as isqrt(n) needs), then Brent-cycle Pollard rho
-with a fixed seed schedule, with every reported prime certified
-(Miller-Rabin with the 13-witness deterministic set below 3.3e24, BPSW
-above).  Externally computed factorizations may be supplied as hints for
-the extent of one ``with factor_hints(hints) as used:`` block: inside it,
-factor_int takes n's factorization from a hint for n, after verifying it
-(primality of every part, product check), and adds n to ``used``.  The
-scope is per thread, so hints reach every factorization the block makes,
-through any number of calls, and nothing outside it.
+Factorization is fully deterministic: trial division by the primes below
+10^6, sieved only as far as it divides (see _factor_cached), then
+Brent-cycle Pollard rho with a fixed seed schedule, with every reported
+prime certified (Miller-Rabin with the 13-witness deterministic set below
+3.3e24, BPSW above).  ``prime_power`` splits a prime power from its integer
+roots, with no factoring.  Externally computed factorizations may be
+supplied as hints for the extent of one ``with factor_hints(hints) as
+used:`` block: inside it, factor_int takes n's factorization from a hint
+for n, after verifying it (primality of every part, product check), and
+adds n to ``used``.  The scope is per thread, so hints reach every
+factorization the block makes, through any number of calls, and nothing
+outside it.
 
 On top of that sit the multiplicative helpers the existence bounds need:
 rad, Euler phi, Moebius mu, the squarefree-divisor count W(n) = 2^omega(n),
@@ -37,6 +39,7 @@ if TYPE_CHECKING:
 TRIAL_DIVISION_BOUND = 10**6
 POLLARD_EFFORT = 1 << 21  # Brent iterations per (seed, constant) attempt
 PRIME_SIEVE_CEILING = 1 << 16
+SMALL_PRIMES = 1 << 10  # trial division's first pass: the primes below this
 
 # Witnesses proving primality for all n < 3317044064679887385961981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -169,6 +172,21 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, (2,)) and _strong_lucas_prp(n)
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, t) with q = p^t and p prime, or None; from the integer t-th roots
+    of q, so q itself is never factored."""
+    if q < 2:
+        return None
+    for t in range(1, q.bit_length()):
+        # Newton's iteration from above ends at floor(q^(1/t))
+        root = 1 << -(-q.bit_length() // t)
+        while (nxt := ((t - 1) * root + q // root ** (t - 1)) // t) < root:
+            root = nxt
+        if root**t == q and is_prime(root):
+            return root, t
+    return None
+
+
 def _pollard_brent(n: int, effort: int) -> int | None:
     """Brent-cycle rho; returns a nontrivial factor of composite odd n, or None."""
     for attempt in range(1, 20):
@@ -281,19 +299,39 @@ def factor_hints(hints: Hints):
         _scope.hints = outer
 
 
-@lru_cache(maxsize=None)
-def _factor_cached(n: int, effort: int) -> IntFactorization:
-    factors: dict[int, int] = {}
-    rest = n
-    # the loop stops before any prime above isqrt(n); the sieve limit is
-    # rounded up to a power of two so that the sieve grows by doubling
-    limit = min(TRIAL_DIVISION_BOUND, 1 << (math.isqrt(n) + 1).bit_length())
-    for p in _primes(limit):
+def _trial_divide(rest: int, factors: dict[int, int], primes) -> int:
+    """Divide rest by the primes in order, up to isqrt(rest); record each
+    factor found and return the cofactor."""
+    for p in primes:
         if p * p > rest:
             break
         while rest % p == 0:
             factors[p] = factors.get(p, 0) + 1
             rest //= p
+    return rest
+
+
+def _sieve_limit(n: int) -> int:
+    """A sieve limit above isqrt(n), rounded up to a power of two so that
+    the sieve grows by doubling, and capped at TRIAL_DIVISION_BOUND."""
+    return min(TRIAL_DIVISION_BOUND, 1 << (math.isqrt(n) + 1).bit_length())
+
+
+@lru_cache(maxsize=None)
+def _factor_cached(n: int, effort: int) -> IntFactorization:
+    factors: dict[int, int] = {}
+    # trial division sieves only as far as it divides: the primes below
+    # SMALL_PRIMES first, then, for a cofactor that is neither 1 nor prime,
+    # the rest up to its square root.  The primes are tried in the same order
+    # as by one pass to isqrt(n), and the sieve grows no further than that.
+    small = _primes(min(SMALL_PRIMES, _sieve_limit(n)))
+    rest = _trial_divide(n, factors, small)
+    if rest > 1 and is_prime(rest):
+        factors[rest] = 1
+        rest = 1
+    elif rest > 1:
+        primes = _primes(_sieve_limit(rest))
+        rest = _trial_divide(rest, factors, primes[len(small):])
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()

@@ -217,6 +217,13 @@ def test_search_pair_exits():
     assert verify_report(rep)
 
 
+def test_search_pair_on_a_large_semiprime_q_exits_4(capsys):
+    q = (10**19 + 51) * (10**19 + 273)
+    assert main(["search-pair", "--q", str(q), "--n", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "not-prime"
+
+
 def test_search_pair_rejects_k_outside_0_n():
     for k in ("-1", "4"):
         code, out = run_cli("search-pair", "--q", "4", "--n", "3", "--r", "1", "--k", k)

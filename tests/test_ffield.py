@@ -1,10 +1,12 @@
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow_mod, gf_rem
 
@@ -52,6 +54,7 @@ def test_canonical_moduli_f8(f8):
     (167, 1, 6, (0, 1), (12, 1, 0, 0, 0, 0, 1)),
     (3, 2, 6, (1, 0, 1), (4, 0, 1, 0, 0, 0, 1)),
     (2, 2, 14, (1, 1, 1), (1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (2, 5, 8, (1, 0, 1, 0, 0, 1), (2, 1, 0, 1, 0, 0, 0, 0, 1)),
 ])
 def test_default_moduli_pinned(p, t, n, base, ext):
     # the least monic irreducibles; witnesses and codes in every report
@@ -64,7 +67,7 @@ def test_default_context_found_before_any_search(monkeypatch):
     monkeypatch.setattr(ffield, "_CTX_CACHE", {})
     calls = []
     real = _polyops.is_irreducible
-    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f: calls.append(f) or real(fq, f))
+    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f, **kw: calls.append(f) or real(fq, f, **kw))
     ctx = field_for(16, 4)
     assert calls
     calls.clear()
@@ -91,7 +94,7 @@ def test_override_tested_once(monkeypatch):
     # a cached override is checked for shape only; an uncached one is tested
     calls = []
     real = _polyops.is_irreducible
-    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f: calls.append(f) or real(fq, f))
+    monkeypatch.setattr(_polyops, "is_irreducible", lambda fq, f, **kw: calls.append(f) or real(fq, f, **kw))
     ext = make_field(2, 8, 2).ext_modulus
     ctx = make_field(2, 8, 2, ext_modulus=ext)
     calls.clear()
@@ -146,6 +149,26 @@ def test_cardinalities():
 def test_not_prime_rejected():
     with pytest.raises(NotPrime):
         make_field(6, 1, 2)
+
+
+def test_split_prime_power_against_sympy():
+    for q in range(5000):
+        f = factorint(q) if q > 1 else {}
+        if len(f) == 1:
+            assert ffield.split_prime_power(q) == next(iter(f.items())), q
+        else:
+            with pytest.raises(NotPrime):
+                ffield.split_prime_power(q)
+
+
+def test_large_semiprime_q_not_factored():
+    # (10^19 + 51)(10^19 + 273): the prime-power test takes integer roots and
+    # never factors q, which Pollard rho did not finish within 30 s
+    q = (10**19 + 51) * (10**19 + 273)
+    start = time.perf_counter()
+    with pytest.raises(NotPrime):
+        field_for(q, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_reducible_override_rejected():

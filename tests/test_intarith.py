@@ -2,6 +2,8 @@ import random
 import sys
 import threading
 from array import array
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -256,3 +258,41 @@ def test_factor_int_and_is_prime_against_sympy():
         assert is_prime(a) and factor_int(a).factors == ((a, 1),)
     for n in range(1, 3000):
         assert dict(factor_int(n).factors) == factorint(n) and is_prime(n) == isprime(n), n
+
+
+def _fresh_factor_cache(monkeypatch):
+    """Route factor_int through an empty cache, so every value is factored again."""
+    monkeypatch.setattr(intarith, "_factor_cached", lru_cache(maxsize=None)(intarith._factor_cached.__wrapped__))
+
+
+def test_trial_division_sieves_only_as_far_as_it_divides(monkeypatch):
+    # 167^6 - 1 = 2^4 3^2 7 83 9241 28057: the primes below 2^10 leave the
+    # composite 9241 * 28057, whose square root needs no sieve past 2^14;
+    # trial division still splits it, with no Pollard rho
+    _fresh_factor_cache(monkeypatch)
+    monkeypatch.setattr(intarith, "_sieve", (0, array("I")))
+    monkeypatch.setattr(intarith, "_pollard_brent", lambda m, effort: None)
+    assert factor_int(167**6 - 1).factors == ((2, 4), (3, 2), (7, 1), (83, 1), (9241, 1), (28057, 1))
+    assert intarith._sieve[0] <= 1 << 14
+
+
+def test_trial_division_sieves_no_further_than_isqrt_n(monkeypatch):
+    # the values of test_factor_int_and_is_prime_against_sympy: no n may ask
+    # for primes past min(10^6, isqrt(n) rounded up to a power of two)
+    rng = random.Random(2024)
+    mid = [nextprime(rng.randrange(1 << 16, 10**6)) for _ in range(12)] + [65537, 999983]
+    values = {p ** (t * n) - 1 for p, t, n in BENCHMARK_MODULI}
+    values.update(a * b for a in mid for b in mid[:4])
+    values.update(a * rng.randrange(2, 10**4) for a in mid)
+    values.update(a * nextprime(10**6 + rng.randrange(10**5)) for a in mid)
+    values.update(a**2 * 3**rng.randrange(1, 9) for a in mid)
+    values.update(rng.randrange(2, 1 << 48) for _ in range(60))
+    values.update(range(1, 3000))
+    _fresh_factor_cache(monkeypatch)
+    asked = []
+    real = intarith._primes
+    monkeypatch.setattr(intarith, "_primes", lambda limit: asked.append(limit) or real(limit))
+    for n in sorted(values):
+        asked.clear()
+        assert dict(factor_int(n).factors) == factorint(n), n
+        assert max(asked, default=0) <= min(10**6, 1 << (isqrt(n) + 1).bit_length()), n

@@ -25,7 +25,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_gcd, gf_irreducible_p, gf_mul, gf_pow_mod
 
 from knpair import _polyops
+from knpair.errors import ReducibleModulus
 from knpair.ffield import make_field
+from knpair.fqpoly import PolyQ
 from knpair.intarith import moebius
 
 EXHAUSTIVE_LIMIT = 20_000  # larger degrees are checked on a seeded sample
@@ -84,6 +86,56 @@ def test_is_irreducible_degenerate_inputs():
     assert not _polyops.is_irreducible(fq, [1])
     assert _polyops.is_irreducible(fq, [0, 1])  # x
     assert not _polyops.is_irreducible(fq, [0, 1, 1])  # x (x + 1)
+
+
+def has_root(fq, f: list[int]) -> bool:
+    """Whether f vanishes at some code of F_q, by Horner at every one."""
+    for a in range(fq.q):
+        v = 0
+        for c in reversed(f):
+            v = fq.add(fq.mul(v, a), c)
+        if v == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_rootless_entry_against_rabin(p, t):
+    # the moduli search hands Ben-Or only the candidates its root sieve kept,
+    # and Ben-Or skips their i = 1 gcd; on every rootless monic f of the
+    # exhaustive grid that entry must still agree with Rabin's test
+    fq = make_field(p, t, 1).fq
+    q = fq.q
+    checked = 0
+    for d in range(2, 7):
+        if q**d > EXHAUSTIVE_LIMIT:
+            break
+        for v in range(q**d):
+            f = monic(q, d, v)
+            if not has_root(fq, f):
+                assert _polyops.is_irreducible(fq, f, rootless=True) == rabin_is_irreducible(fq, f), (q, f)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 2), (5, 1), (3, 2)])
+def test_cubics_with_a_root_keep_step_one(p, t):
+    # for a cubic Ben-Or runs its i = 1 gcd alone, and only that gcd sees the
+    # root of (x - a) Q, Q an irreducible quadratic, a != 0 (a = 0 fails the
+    # f(0) test first): a modulus override and PolyQ must still run it
+    fq = make_field(p, t, 1).fq
+    q = fq.q
+    quadratics = [f for f in (monic(q, 2, v) for v in range(q * q)) if rabin_is_irreducible(fq, f)]
+    assert len(quadratics) == gauss_count(q, 2)
+    for a in range(1, q):
+        for quad in quadratics:
+            f = _polyops.mul(fq, [fq.neg(a), fq.one], quad)
+            with pytest.raises(ReducibleModulus):
+                make_field(p, t, 3, ext_modulus=f)
+            assert not PolyQ(fq, tuple(f)).is_irreducible()
+            assert not _polyops.is_irreducible(fq, f)
+            # the sieved entry takes its caller's word that f has no root
+            assert _polyops.is_irreducible(fq, f, rootless=True)
 
 
 # -- the product and division kernels ------------------------------------------
